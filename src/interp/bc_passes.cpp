@@ -523,10 +523,10 @@ void quicken_function(BcProgram& p, BcFunction& fn) {
     if (I.op != Op::MpiColl || I.a < 0) continue;
     const MpiSite& st = p.mpi_sites[static_cast<size_t>(I.a)];
     const frontend::Stmt& s = *st.stmt;
-    if (s.is_mpi_init || s.is_mpi_abort || st.mono) continue;
+    if (s.is_mpi_init || s.is_mpi_abort || st.flags.mono) continue;
     if (ir::is_comm_op(s.coll) || s.coll == ir::CollectiveKind::Finalize)
       continue;
-    const int flavor = (st.armed ? 1 : 0) | (st.comm_reg >= 0 ? 2 : 0) |
+    const int flavor = (st.flags.armed ? 1 : 0) | (st.comm_reg >= 0 ? 2 : 0) |
                        (ir::is_nonblocking(s.coll) ? 4 : 0);
     I.op = static_cast<Op>(static_cast<int>(Op::MpiCollWU) + flavor);
   }

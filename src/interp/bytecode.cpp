@@ -427,6 +427,7 @@ private:
     if (s.name.empty()) return;
     st.target_slot = target_slot_of(s);
     st.declares_target = s.declares_target;
+    st.flags.has_target = true;
   }
 
   int32_t add_mpi_site(MpiSite st) {
@@ -450,9 +451,9 @@ private:
       emit(Op::MpiColl, add_mpi_site(std::move(st)));
       return;
     }
-    st.mono = plan_ && plan_->mono_stmts.count(s.stmt_id) > 0;
+    st.flags.mono = plan_ && plan_->mono_stmts.count(s.stmt_id) > 0;
     const bool cc = plan_ && plan_->cc_stmts.count(s.stmt_id) > 0;
-    st.armed = cc;
+    st.flags.armed = cc;
     if (cc) {
       // Pre-encode the CC id's kind + reduce-op fields once per run (the
       // skeleton table); only root and comm id get patched at call time.
@@ -460,7 +461,7 @@ private:
       info.kind = s.coll;
       info.op = ir::is_comm_op(s.coll) ? std::nullopt : s.reduce_op;
       out_.cc_sites.push_back(info);
-      st.cc_slot = static_cast<int32_t>(out_.cc_sites.size() - 1);
+      st.flags.cc_slot = static_cast<int32_t>(out_.cc_sites.size() - 1);
     }
     if (ir::is_comm_op(s.coll)) {
       // AST evaluation order: parent comm, then color/key (split) or the
@@ -473,7 +474,7 @@ private:
                  s.coll == ir::CollectiveKind::CommSetErrhandler) {
         st.payload_reg = c_expr(*s.mpi_value); // flag / mode
       }
-      st.child_armed = plan_ && plan_->cc_classes.count(s.name) > 0;
+      st.flags.child_armed = plan_ && plan_->cc_classes.count(s.name) > 0;
       if (ir::is_comm_ctor(s.coll) || s.coll == ir::CollectiveKind::CommAgree)
         fill_target(st, s);
     } else {
@@ -555,8 +556,8 @@ std::string disassemble(const BcProgram& p) {
       if (is_mpi_coll(in.op)) {
         const MpiSite& st = p.mpi_sites[static_cast<size_t>(in.a)];
         out += str::cat(" [", ir::to_string(st.stmt->coll));
-        if (st.armed) out += " cc";
-        if (st.mono) out += " mono";
+        if (st.flags.armed) out += " cc";
+        if (st.flags.mono) out += " mono";
         if (st.comm_cache >= 0) out += str::cat(" comm$", st.comm_cache);
         out += "]";
       }

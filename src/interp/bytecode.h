@@ -75,18 +75,26 @@ struct BcBlock {
   uint32_t begin = 0, end = 0;
 };
 
+/// The per-statement decisions the shared MPI-semantics layer
+/// (mpi_effects.h) acts on. The VM bakes them into each MpiSite at compile
+/// time; the AST engine derives the same flags from the plan per call.
+struct MpiFlags {
+  bool mono = false;        // occupancy check planned (plan->mono_stmts)
+  bool armed = false;       // CC check planned (plan->cc_stmts)
+  bool child_armed = false; // comm ctor: result class armed (exit sentinel)
+  bool has_target = false;  // the statement stores its result
+  int32_t cc_slot = -1;     // armed VM sites: per-run CC-skeleton table index
+};
+
 /// One MPI statement site (MpiColl / MpiRecv / MpiWait / MpiTest /
 /// MpiWaitall). Everything decidable at compile time is decided here.
 struct MpiSite {
   const frontend::Stmt* stmt = nullptr;
-  bool armed = false;        // CC check planned (plan->cc_stmts)
-  bool mono = false;         // occupancy check planned (plan->mono_stmts)
-  bool child_armed = false;  // comm ctor: result class armed (exit sentinel)
+  MpiFlags flags;
   int32_t root_reg = -1;     // evaluated root / split key / recv source
   int32_t payload_reg = -1;  // payload / split color / request / recv tag
   int32_t comm_reg = -1;     // evaluated communicator handle
   int32_t comm_cache = -1;   // per-thread CommRef cache index
-  int32_t cc_slot = -1;      // per-run CC-skeleton table index (armed sites)
   int32_t target_slot = -1;  // result destination (-1: none)
   bool declares_target = false;
   int32_t list = -1;         // reg_lists index (waitall requests)
@@ -117,7 +125,7 @@ struct PrintSite {
 
 /// One armed collective site's compile-time CC knowledge. The skeleton value
 /// itself is computed once per *run* (it depends on VerifierOptions), into a
-/// table indexed by MpiSite::cc_slot.
+/// table indexed by MpiFlags::cc_slot.
 struct CcSiteInfo {
   ir::CollectiveKind kind{};
   std::optional<ir::ReduceOp> op;
@@ -142,7 +150,7 @@ struct BcProgram {
   std::vector<PrintSite> print_sites;
   std::vector<std::vector<int32_t>> reg_lists;
   std::vector<std::string> traps;
-  std::vector<CcSiteInfo> cc_sites;   // indexed by MpiSite::cc_slot
+  std::vector<CcSiteInfo> cc_sites;   // indexed by MpiFlags::cc_slot
   int32_t num_comm_caches = 0;
 
   [[nodiscard]] size_t total_instrs() const {

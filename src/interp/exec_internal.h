@@ -148,18 +148,9 @@ inline std::string undefined_fn_msg(const SourceManager& sm,
                                     const std::string& name, SourceLoc loc) {
   return str::cat("undefined function '", name, "' at ", sm.describe(loc));
 }
-inline std::string mpi_abort_msg(int32_t rank, int64_t code) {
-  return str::cat("rank ", rank, ": mpi_abort(", code, ")");
-}
 
 // Bytecode-engine entry points (vm.cpp).
 struct BcProgram;
-
-/// Per-run CC-skeleton table: one pre-encoded (kind, reduce-op) id per armed
-/// site, indexed by MpiSite::cc_slot. Depends on VerifierOptions, so it is
-/// built once per run rather than at compile time.
-[[nodiscard]] std::vector<int64_t> make_cc_skeletons(const BcProgram& bc,
-                                                     const rt::Verifier& v);
 
 /// Runs one rank's main() under the bytecode VM. Throws EvalError for user
 /// faults (the caller wraps them into rank aborts, like the AST engine).

@@ -3,10 +3,11 @@
 #include "interp/bc_ops.h"
 #include "interp/bytecode.h"
 #include "interp/exec_internal.h"
+#include "interp/mpi_effects.h"
 #include "miniomp/team.h"
 #include "support/metrics.h"
 #include "support/str.h"
-#include "support/trace.h"
+#include "support/wrap_int.h"
 
 #include <algorithm>
 #include <atomic>
@@ -66,40 +67,15 @@ struct ThreadState {
 class RankExec {
 public:
   RankExec(SharedState& shared, simmpi::Rank& rank)
-      : shared_(shared), rank_(rank) {}
+      : shared_(shared), rank_(rank), fx_(shared, rank) {}
 
   void run_main() {
     const frontend::FuncDecl* main_fn = shared_.program->find("main");
     if (!main_fn) throw EvalError("program has no main()");
-    miniomp::ProcessDomain domain; // per-rank process-wide OpenMP state
-    if (shared_.fault) {
-      FaultInjector* fault = shared_.fault;
-      const int32_t wr = rank_.rank();
-      domain.spawn_jitter = [fault, wr](int32_t tid) {
-        fault->thread_start_jitter(wr, tid);
-      };
-    }
-    miniomp::ThreadContext root;   // serial context (no team)
-    root.domain = &domain;
     ThreadState ts(shared_, rank_);
-    ts.omp = &root;
+    ts.omp = &fx_.root_context();
     call_function(*main_fn, {}, ts);
-    if (shared_.plan && shared_.plan->cc_final_in_main) {
-      // Per-comm exit sentinels: every armed communicator this rank still
-      // holds gets a FINAL post (creation order, identical on all members
-      // since arming is per textual class), then world — blocking, as
-      // before — only when the world class itself is armed.
-      std::vector<int64_t> armed;
-      {
-        std::scoped_lock lk(armed_comms_mu_);
-        armed = armed_comms_;
-      }
-      for (int64_t handle : armed)
-        shared_.verifier->check_cc_final_piggybacked_on(rank_, handle,
-                                                        main_fn->loc);
-      if (shared_.plan->world_cc_armed())
-        shared_.verifier->check_cc_final_piggybacked(rank_, main_fn->loc);
-    }
+    fx_.leave_main(main_fn->loc);
   }
 
 private:
@@ -116,7 +92,7 @@ private:
       }
       case Expr::Kind::Unary: {
         const int64_t v = eval(*e.kids[0], env, ts);
-        return e.un_op == ir::UnaryOp::Neg ? -v : (v == 0 ? 1 : 0);
+        return e.un_op == ir::UnaryOp::Neg ? wrap_neg(v) : (v == 0 ? 1 : 0);
       }
       case Expr::Kind::Binary: {
         // Short-circuit for && / ||.
@@ -127,15 +103,15 @@ private:
         const int64_t a = eval(*e.kids[0], env, ts);
         const int64_t b = eval(*e.kids[1], env, ts);
         switch (e.bin_op) {
-          case ir::BinaryOp::Add: return a + b;
-          case ir::BinaryOp::Sub: return a - b;
-          case ir::BinaryOp::Mul: return a * b;
+          case ir::BinaryOp::Add: return wrap_add(a, b);
+          case ir::BinaryOp::Sub: return wrap_sub(a, b);
+          case ir::BinaryOp::Mul: return wrap_mul(a, b);
           case ir::BinaryOp::Div:
             if (b == 0) throw EvalError("division by zero");
-            return a / b;
+            return wrap_div(a, b);
           case ir::BinaryOp::Mod:
             if (b == 0) throw EvalError("modulo by zero");
-            return a % b;
+            return wrap_mod(a, b);
           case ir::BinaryOp::Lt: return a < b;
           case ir::BinaryOp::Le: return a <= b;
           case ir::BinaryOp::Gt: return a > b;
@@ -220,12 +196,19 @@ private:
         args.reserve(s.args.size());
         for (const auto& a : s.args) args.push_back(eval(*a, env, ts));
         const int64_t ret = call_function(*callee, args, ts);
-        store_target(s, ret, env, ts);
+        store_target(s, ret, env);
         return std::nullopt;
       }
-      case StmtKind::MpiCall:
-        exec_mpi(s, env, ts);
+      // MPI statements: operands are pure, so they are evaluated before any
+      // planned check, in the order the bytecode compiler emits them (keeping
+      // engine outcomes identical when an operand faults); the shared layer
+      // does the rest.
+      case StmtKind::MpiCall: {
+        const MpiArgs a = eval_mpi_args(s, env, ts);
+        store_target(s, fx_.call(s, fx_.flags_for(s), a, *ts.omp, nullptr),
+                     env);
         return std::nullopt;
+      }
       case StmtKind::MpiSend: {
         const int64_t value = eval(*s.mpi_value, env, ts);
         const int32_t dest = static_cast<int32_t>(eval(*s.mpi_root, env, ts));
@@ -234,57 +217,27 @@ private:
         return std::nullopt;
       }
       case StmtKind::MpiRecv: {
-        const int32_t src = static_cast<int32_t>(eval(*s.mpi_root, env, ts));
-        const int32_t tag = static_cast<int32_t>(eval(*s.hi, env, ts));
-        try {
-          store_target(s, rank_.recv(src, tag), env, ts);
-        } catch (const simmpi::RankFailedError& e) {
-          store_failure_status(s, e, env, ts);
-        } catch (const simmpi::RevokedError&) {
-          store_revoked_status(s, env, ts);
-        }
+        const int64_t src = eval(*s.mpi_root, env, ts);
+        const int64_t tag = eval(*s.hi, env, ts);
+        store_target(s, fx_.recv(s, fx_.flags_for(s), src, tag), env);
         return std::nullopt;
       }
-      case StmtKind::MpiWait: {
-        const int64_t req = eval(*s.mpi_value, env, ts);
-        check_wait_thread_usage(s, ts);
-        try {
-          const auto out = rank_.wait_outcome(req);
-          if (!out.ok()) request_misuse(s.loc, out.error);
-          store_target(s, out.value, env, ts);
-        } catch (const simmpi::RankFailedError& e) {
-          store_failure_status(s, e, env, ts);
-        } catch (const simmpi::RevokedError&) {
-          store_revoked_status(s, env, ts);
-        }
-        return std::nullopt;
-      }
+      case StmtKind::MpiWait:
       case StmtKind::MpiTest: {
         const int64_t req = eval(*s.mpi_value, env, ts);
-        check_wait_thread_usage(s, ts);
-        try {
-          bool done = false;
-          const auto out = rank_.test_outcome(req, done);
-          if (!out.ok()) request_misuse(s.loc, out.error);
-          store_target(s, done ? 1 : 0, env, ts);
-        } catch (const simmpi::RankFailedError& e) {
-          store_failure_status(s, e, env, ts);
-        } catch (const simmpi::RevokedError&) {
-          store_revoked_status(s, env, ts);
-        }
+        const MpiFlags f = fx_.flags_for(s);
+        store_target(s,
+                     s.kind == StmtKind::MpiWait
+                         ? fx_.wait(s, f, req, *ts.omp)
+                         : fx_.test(s, f, req, *ts.omp),
+                     env);
         return std::nullopt;
       }
       case StmtKind::MpiWaitall: {
-        // Request expressions are pure: evaluate them all first (the order
-        // the bytecode compiler emits), then check, then complete in order.
         std::vector<int64_t> reqs;
         reqs.reserve(s.args.size());
         for (const auto& a : s.args) reqs.push_back(eval(*a, env, ts));
-        check_wait_thread_usage(s, ts);
-        for (const int64_t req : reqs) {
-          const auto out = rank_.wait_outcome(req);
-          if (!out.ok()) request_misuse(s.loc, out.error);
-        }
+        fx_.waitall(s, reqs, *ts.omp);
         return std::nullopt;
       }
       case StmtKind::OmpParallel:
@@ -381,221 +334,31 @@ private:
         });
   }
 
-  void store_target(const Stmt& s, int64_t value, Env& env, ThreadState& ts) {
-    (void)ts;
+  void store_target(const Stmt& s, int64_t value, Env& env) {
     if (s.name.empty()) return;
     Cell* c = s.declares_target ? env.declare(s.name) : env.lookup(s.name);
     if (!c) throw EvalError(undefined_var_msg(*shared_.sm, s.name, s.loc));
     c->v.store(value, std::memory_order_relaxed);
   }
 
-  /// Error-status delivery for `return`-mode failures (ULFM semantics): a
-  /// status form `var st = mpi_xxx(...)` absorbs the error as a negative
-  /// status; a statement with no target rethrows and the rank unwinds. The
-  /// dying rank itself always rethrows — its own crash is not a recoverable
-  /// peer failure. Only callable from a catch block (bare rethrow).
-  void store_failure_status(const Stmt& s, const simmpi::RankFailedError& e,
-                            Env& env, ThreadState& ts) {
-    if (e.dead_rank == rank_.rank() || s.name.empty()) throw;
-    store_target(s, simmpi::kMpiErrRankFailed, env, ts);
-  }
-
-  void store_revoked_status(const Stmt& s, Env& env, ThreadState& ts) {
-    if (s.name.empty()) throw;
-    store_target(s, simmpi::kMpiErrRevoked, env, ts);
-  }
-
-  /// MPI_Wait/Test are MPI calls: they fall under the same thread-level
-  /// usage rules as collectives (e.g. non-master wait under FUNNELED).
-  void check_wait_thread_usage(const Stmt& s, ThreadState& ts) {
-    if (!shared_.plan) return;
-    shared_.verifier->check_thread_usage(rank_, ts.omp->in_parallel(),
-                                         is_master_chain(ts.omp), s.loc);
-  }
-
-  /// Routes a request-discipline violation: through the verifier when checks
-  /// are planned (precise diagnostic + abort), as a plain runtime fault
-  /// otherwise (the uninstrumented behaviour).
-  [[noreturn]] void request_misuse(SourceLoc loc, const std::string& what) {
-    if (shared_.plan) shared_.verifier->report_request_misuse(rank_, loc, what);
-    throw EvalError(what);
-  }
-
-  void exec_mpi(const Stmt& s, Env& env, ThreadState& ts) {
-    if (s.is_mpi_init) {
-      rank_.init(s.init_level);
-      return;
-    }
-    if (s.is_mpi_abort) {
-      const int64_t code = eval(*s.mpi_value, env, ts);
-      const std::string msg = mpi_abort_msg(rank_.rank(), code);
-      rank_.abort(msg);
-      throw simmpi::AbortedError(msg);
-    }
-    // Communicator management routes through the registry. Split/dup are
-    // collectives over the parent comm — the CC id (scoped by the parent's
-    // comm id) rides in their agreement round; free is local.
-    const bool mono = shared_.plan && shared_.plan->mono_stmts.count(s.stmt_id);
-    const bool cc = shared_.plan && shared_.plan->cc_stmts.count(s.stmt_id);
+  /// Communicator operations evaluate the parent comm first, then color /
+  /// key / flag; collectives their root, payload, then comm.
+  MpiArgs eval_mpi_args(const Stmt& s, Env& env, ThreadState& ts) {
+    MpiArgs a;
+    const auto operand = [&](const ir::ExprPtr& e, int64_t& out) {
+      if (e) out = eval(*e, env, ts);
+    };
     if (ir::is_comm_op(s.coll)) {
-      exec_comm_op(s, cc, mono, env, ts);
-      return;
+      operand(s.mpi_comm, a.comm);
+      operand(s.mpi_value, a.payload);
+      operand(s.mpi_root, a.root);
+    } else {
+      operand(s.mpi_root, a.root);
+      operand(s.mpi_value, a.payload);
+      operand(s.mpi_comm, a.comm);
     }
-
-    // Operand expressions are pure, so they are evaluated *before* the
-    // planned checks — the same order the bytecode compiler emits (operand
-    // code precedes the collective instruction), keeping engine outcomes
-    // identical when an operand faults (e.g. a divide-by-zero root).
-    simmpi::Signature sig;
-    sig.kind = s.coll;
-    sig.root = s.mpi_root
-                   ? static_cast<int32_t>(eval(*s.mpi_root, env, ts))
-                   : -1;
-    sig.op = s.reduce_op;
-    const int64_t payload = s.mpi_value ? eval(*s.mpi_value, env, ts) : 0;
-    const int64_t comm_handle = s.mpi_comm ? eval(*s.mpi_comm, env, ts) : 0;
-
-    // Collective enter/exit span; the exit fires on exception unwind too,
-    // so every CollEnter in an exported trace has its matching CollExit.
-    TraceSpan span(
-        shared_.tracer, rank_.rank(),
-        trace_pack_coll(static_cast<int32_t>(s.coll),
-                        sig.op ? static_cast<int32_t>(*sig.op) + 1 : 0),
-        sig.root);
-
-    // Planned runtime checks, in paper order: occupancy first (validates the
-    // monothread assumption), then CC (validates sequence agreement), then
-    // the collective itself. The CC agreement is piggybacked: the id rides
-    // in the collective's own slot arrival (Signature::cc), so the check
-    // costs no dedicated synchronization round; a disagreement surfaces as
-    // CcMismatchError on exactly one thread, which produces the report.
-    // Nonblocking collectives are checked at *issue* time — that is where
-    // the slot is claimed, so that is where divergence must be stopped.
-    std::optional<rt::Verifier::MonoGuard> mono_guard;
-    if (mono)
-      mono_guard.emplace(*shared_.verifier, rank_, s.stmt_id, s.loc);
-    if (shared_.plan)
-      shared_.verifier->check_thread_usage(rank_, ts.omp->in_parallel(),
-                                           is_master_chain(ts.omp), s.loc);
-    if (s.coll == ir::CollectiveKind::Finalize && shared_.plan)
-      shared_.verifier->report_leaked_requests(
-          rank_, s.loc, rank_.requests().outstanding(rank_.rank()));
-    try {
-      // The comm operand: absent = MPI_COMM_WORLD via the registry-free
-      // fast path (the blocking hot path stays lock-light); present = ONE
-      // registry resolve covers the CC id and the execution.
-      if (!s.mpi_comm) {
-        if (cc) sig.cc = shared_.verifier->cc_lane_id(s.coll, sig.op, sig.root);
-        if (ir::is_nonblocking(s.coll)) {
-          store_target(s, rank_.istart(sig, payload), env, ts);
-          return;
-        }
-        const auto result = rank_.execute(sig, payload);
-        if (s.coll == ir::CollectiveKind::Finalize) return;
-        store_target(s, result.scalar, env, ts);
-        return;
-      }
-      const auto ref = rank_.comm_ref(comm_handle);
-      if (cc)
-        sig.cc = shared_.verifier->cc_lane_id(s.coll, sig.op, sig.root,
-                                              ref.comm->comm_id());
-      if (ir::is_nonblocking(s.coll)) {
-        store_target(s, rank_.istart_on(ref, sig, payload), env, ts);
-        return;
-      }
-      store_target(s, rank_.execute_on(ref, sig, payload).scalar, env, ts);
-    } catch (const simmpi::CcMismatchError& e) {
-      shared_.verifier->report_cc_mismatch(rank_, s.coll, s.loc, e);
-    } catch (const simmpi::RankFailedError& e) {
-      store_failure_status(s, e, env, ts);
-    } catch (const simmpi::RevokedError&) {
-      store_revoked_status(s, env, ts);
-    }
-  }
-
-  /// mpi_comm_split / mpi_comm_dup / mpi_comm_free. Operand expressions are
-  /// evaluated before the planned checks, like everywhere else (the bytecode
-  /// compiler's operand order: parent comm, then color, then key).
-  void exec_comm_op(const Stmt& s, bool cc, bool mono, Env& env,
-                    ThreadState& ts) {
-    const int64_t parent =
-        s.mpi_comm ? eval(*s.mpi_comm, env, ts) : simmpi::Rank::kCommWorld;
-    const int64_t color = s.coll == ir::CollectiveKind::CommSplit
-                              ? eval(*s.mpi_value, env, ts)
-                              : 0;
-    const int64_t key = s.coll == ir::CollectiveKind::CommSplit
-                            ? eval(*s.mpi_root, env, ts)
-                            : 0;
-    const int64_t payload = (s.coll == ir::CollectiveKind::CommAgree ||
-                             s.coll == ir::CollectiveKind::CommSetErrhandler)
-                                ? eval(*s.mpi_value, env, ts)
-                                : 0;
-    TraceSpan span(shared_.tracer, rank_.rank(),
-                   trace_pack_coll(static_cast<int32_t>(s.coll), 0), -1);
-    std::optional<rt::Verifier::MonoGuard> mono_guard;
-    if (mono)
-      mono_guard.emplace(*shared_.verifier, rank_, s.stmt_id, s.loc);
-    if (shared_.plan)
-      shared_.verifier->check_thread_usage(rank_, ts.omp->in_parallel(),
-                                           is_master_chain(ts.omp), s.loc);
-    if (s.coll == ir::CollectiveKind::CommFree) {
-      rank_.comm_free(parent);
-      std::scoped_lock lk(armed_comms_mu_);
-      armed_comms_.erase(
-          std::remove(armed_comms_.begin(), armed_comms_.end(), parent),
-          armed_comms_.end());
-      return;
-    }
-    // Local (unmatched) recovery ops: set_errhandler configures, revoke
-    // poisons asynchronously. Neither synchronizes, so the ULFM idiom
-    // `if (rank == 0) mpi_comm_revoke(c)` is legal rank-guarded.
-    if (s.coll == ir::CollectiveKind::CommSetErrhandler) {
-      rank_.comm_set_errhandler(parent, payload != 0
-                                            ? simmpi::Errhandler::Return
-                                            : simmpi::Errhandler::Abort);
-      return;
-    }
-    if (s.coll == ir::CollectiveKind::CommRevoke) {
-      rank_.comm_revoke(parent);
-      return;
-    }
-    int64_t cc_id = simmpi::kCcNone;
-    if (cc)
-      cc_id = shared_.verifier->cc_lane_id(
-          s.coll, std::nullopt, -1, s.mpi_comm ? rank_.comm_id_of(parent) : 0);
-    // The result handle's comm class is the textual result variable (sema
-    // forbids comm aliasing, so every collective on the child spells this
-    // name). Unarmed classes get children without a CC lane — the true
-    // zero-overhead path — and are excluded from the exit sentinel.
-    const bool child_armed =
-        shared_.plan && shared_.plan->cc_classes.count(s.name) > 0;
-    try {
-      if (s.coll == ir::CollectiveKind::CommAgree) {
-        // Fault-tolerant AND-reduction: completes despite failed members
-        // (and on revoked communicators) — the agreed flag is the result.
-        store_target(s, rank_.comm_agree(parent, payload, cc_id), env, ts);
-        return;
-      }
-      int64_t handle = 0;
-      if (s.coll == ir::CollectiveKind::CommSplit) {
-        handle = rank_.comm_split(parent, color, key, cc_id, child_armed);
-      } else if (s.coll == ir::CollectiveKind::CommShrink) {
-        handle = rank_.comm_shrink(parent, cc_id, child_armed);
-      } else {
-        handle = rank_.comm_dup(parent, cc_id, child_armed);
-      }
-      if (child_armed && handle != simmpi::CommRegistry::kNull) {
-        std::scoped_lock lk(armed_comms_mu_);
-        armed_comms_.push_back(handle);
-      }
-      store_target(s, handle, env, ts);
-    } catch (const simmpi::CcMismatchError& e) {
-      shared_.verifier->report_cc_mismatch(rank_, s.coll, s.loc, e);
-    } catch (const simmpi::RankFailedError& e) {
-      store_failure_status(s, e, env, ts);
-    } catch (const simmpi::RevokedError&) {
-      store_revoked_status(s, env, ts);
-    }
+    a.has_comm = s.mpi_comm != nullptr;
+    return a;
   }
 
   int64_t call_function(const frontend::FuncDecl& fn,
@@ -615,11 +378,7 @@ public:
 private:
   SharedState& shared_;
   simmpi::Rank& rank_;
-  /// Live handles of communicators created at armed-class split/dup sites
-  /// (the per-comm exit sentinel targets). Threads of one rank share this
-  /// under MPI_THREAD_MULTIPLE.
-  std::mutex armed_comms_mu_;
-  std::vector<int64_t> armed_comms_;
+  MpiEffects fx_;
 };
 
 } // namespace

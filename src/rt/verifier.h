@@ -1,13 +1,22 @@
 // Execution-time verification (Section 3 of the paper).
 //
-// The CC check runs *before* each instrumented collective: every rank
-// contributes the id of the collective it is about to execute to an
-// allgather on a dedicated verifier communicator. If the ids disagree, every
-// rank learns the full per-rank picture, the error is reported with the
-// collective names and source locations involved, and the world is aborted —
-// *before* the mismatched application collectives can deadlock. A sentinel
-// id is contributed before a process leaves main, catching "rank 0 returned
-// while rank 1 still waits in MPI_Allreduce" situations.
+// The CC check runs *before* each instrumented collective and compares the
+// id of the collective every rank is about to execute. In production the
+// comparison is piggybacked: the interpreter's MPI-semantics layer
+// (interp/mpi_effects.h) puts the id (cc_lane_id, or cc_skeleton patched by
+// cc_patch) in the collective's own slot arrival, the slot engine compares
+// the ids of all arrivals, and a disagreement reaches report_cc_mismatch on
+// exactly one thread. The error is reported with the collective names and
+// source locations involved, and the world is aborted — *before* the
+// mismatched application collectives can deadlock. A sentinel id
+// (check_cc_final_piggybacked / _on) is deposited before a process leaves
+// main, catching "rank 0 returned while rank 1 still waits in MPI_Allreduce"
+// situations.
+//
+// check_cc / check_cc_final keep the paper's dedicated round — an allgather
+// of the ids on a separate verifier communicator — as the reference that
+// tests and benches compare the piggybacked lane against: the same wording,
+// at the cost of one extra synchronization round per check.
 //
 // Occupancy checks guard collectives that the static phase could not prove
 // monothreaded: a per-site counter detects two threads inside the same
@@ -41,9 +50,11 @@ struct VerifierOptions {
   /// of collectives arguments ... is not checked"). Off = paper-faithful:
   /// an op/root divergence then manifests as a hang caught by the watchdog.
   bool check_arguments = true;
-  /// Observability: optional flight-recorder tracer (the verifier emits
-  /// CC compare/mismatch events for its legacy dedicated rounds). The
-  /// verifier caches the effective()-filtered pointer; null = off.
+  /// Observability: optional flight-recorder tracer. The verifier emits CC
+  /// compare/mismatch events only for the dedicated reference rounds
+  /// (check_cc / check_cc_final); on the production piggybacked lane the
+  /// slot engine emits them. The verifier caches the effective()-filtered
+  /// pointer; null = off.
   Tracer* tracer = nullptr;
 };
 
@@ -51,7 +62,8 @@ class Verifier {
 public:
   Verifier(const SourceManager& sm, VerifierOptions opts, int32_t num_ranks);
 
-  /// CC before a collective. Aborts the world on mismatch (throws
+  /// Dedicated-round CC before a collective: the test/bench reference for the
+  /// piggybacked lane below. Aborts the world on mismatch (throws
   /// simmpi::AbortedError into the calling rank like any abort). `op` and
   /// `root` take part in the agreement when options.check_arguments is set;
   /// root is the *evaluated* root rank (-1 for rootless collectives).
@@ -63,7 +75,7 @@ public:
                 std::optional<ir::ReduceOp> op = std::nullopt,
                 int32_t root = -1, int32_t comm_id = 0);
 
-  /// CC sentinel before a process leaves main.
+  /// Dedicated-round CC sentinel before a process leaves main (reference).
   void check_cc_final(simmpi::Rank& rank, SourceLoc loc);
 
   // -- Piggybacked CC (zero extra synchronization rounds) ---------------------

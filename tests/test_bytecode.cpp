@@ -373,6 +373,53 @@ TEST(Bytecode, FunctionsRecursionAndShortCircuit) {
                 1, 1);
 }
 
+// MiniHPC integers wrap (64-bit two's complement, as in Go): INT64_MIN / -1
+// is INT64_MIN and INT64_MIN % -1 is 0 instead of a SIGFPE. Both engines
+// compute the same values at run time, with and without the IR optimization
+// pipeline, and the constant folder computes them at compile time (the
+// second print's operands are all literals).
+TEST(Bytecode, IntegerOverflowWrapsInEnginesAndFolder) {
+  const char* src = R"(func main() {
+    var m = 0 - 4611686018427387904;
+    m = m * 2;
+    var d = 0 - 1;
+    print(m / d, m % d, m - 1, -m);
+    print((0 - 4611686018427387904) * 2 / (0 - 1),
+          (0 - 4611686018427387904) * 2 % (0 - 1), 9223372036854775807 + 1,
+          -(0 - 9223372036854775807 - 1));
+  })";
+  std::vector<std::string> want = {
+      "rank 0: -9223372036854775808 0 9223372036854775807 "
+      "-9223372036854775808",
+      "rank 0: -9223372036854775808 0 -9223372036854775808 "
+      "-9223372036854775808"};
+  std::sort(want.begin(), want.end());
+  for (const bool optimize : {false, true}) {
+    SourceManager sm;
+    DiagnosticEngine diags;
+    driver::PipelineOptions popts;
+    popts.mode = driver::Mode::Baseline;
+    popts.optimize = optimize;
+    const auto c = driver::compile(sm, "t", src, diags, popts);
+    ASSERT_TRUE(c.ok) << diags.to_text(sm);
+    if (optimize)
+      EXPECT_NE(c.emitted.find("print -9223372036854775808, 0, "
+                               "-9223372036854775808, -9223372036854775808"),
+                std::string::npos)
+          << c.emitted;
+    for (const Engine engine : {Engine::Ast, Engine::Bytecode}) {
+      SCOPED_TRACE(str::cat(to_string(engine), " optimize=", optimize));
+      Executor exec(c.program, sm, nullptr);
+      ExecOptions eopts;
+      eopts.engine = engine;
+      eopts.num_ranks = 1;
+      const auto res = exec.run(eopts);
+      EXPECT_TRUE(res.clean) << res.mpi.abort_reason;
+      EXPECT_EQ(res.output, want);
+    }
+  }
+}
+
 TEST(Bytecode, CommHandleCacheSurvivesHotLoop) {
   const std::string src = R"(func main() {
     mpi_init(single);

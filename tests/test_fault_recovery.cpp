@@ -249,6 +249,83 @@ TEST(RecoveryP2pTest, RecvFromDeadPeerStoresFailureStatus) {
   EXPECT_EQ(results[0].mpi.rank_errors, results[1].mpi.rank_errors);
 }
 
+// The return-mode status forms pinned to their values, on both engines, every
+// bytecode pass combination and both plans: a wait and a test on a request
+// whose peer died store -1; a collective on a revoked communicator stores -2.
+TEST(RecoveryP2pTest, StatusFormsKeepTheirValues) {
+  const struct {
+    const char* name;
+    const char* src;
+    bool crash; // rank 1 dies at its first collective arrival
+    const char* expected;
+  } cases[] = {
+      {"ft_wait_test_dead_peer", R"(func main() {
+  mpi_init(single);
+  mpi_comm_set_errhandler(1);
+  var st = mpi_allreduce(1, sum);
+  var r = mpi_iallreduce(1, sum);
+  var w = mpi_wait(r);
+  var q = mpi_iallreduce(2, sum);
+  var t = mpi_test(q);
+  print(st, w, t);
+  mpi_finalize();
+}
+)",
+       true, "-1 -1 -1"},
+      {"ft_revoked_status", R"(func main() {
+  mpi_init(single);
+  var c = mpi_comm_dup();
+  mpi_comm_set_errhandler(1, c);
+  mpi_comm_revoke(c);
+  var st = mpi_allreduce(1, sum, c);
+  mpi_comm_free(c);
+  print(st);
+  mpi_finalize();
+}
+)",
+       false, "-2"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    SourceManager sm;
+    DiagnosticEngine diags;
+    driver::PipelineOptions popts;
+    popts.mode = driver::Mode::WarningsAndCodegen;
+    const auto r = driver::compile(sm, c.name, c.src, diags, popts);
+    ASSERT_TRUE(r.ok) << diags.to_text(sm);
+    const auto programwide =
+        core::make_programwide_plan(*r.module, r.phases, r.algorithm1);
+    for (const auto* plan : {&r.plan, &programwide}) {
+      for (uint64_t seed = 0; seed < 6; ++seed) { // AST, then 5 pass configs
+        const auto engine =
+            seed == 0 ? interp::Engine::Ast : interp::Engine::Bytecode;
+        SCOPED_TRACE(std::string(to_string(engine)) +
+                     " seed=" + std::to_string(seed));
+        FaultPlan fplan;
+        if (c.crash) {
+          fplan.crash_rank = 1;
+          fplan.crash_at = 0;
+        }
+        FaultInjector inj(fplan, 4);
+        interp::Executor exec(r.program, sm, plan);
+        interp::ExecOptions opts;
+        opts.engine = engine;
+        opts.passes = pass_cfg_for(seed);
+        opts.num_ranks = 4;
+        opts.mpi.fault = &inj;
+        opts.mpi.hang_timeout = std::chrono::milliseconds(2500);
+        const auto res = exec.run(opts);
+        EXPECT_FALSE(res.mpi.aborted) << res.mpi.abort_reason;
+        EXPECT_FALSE(res.mpi.deadlock) << res.mpi.deadlock_details;
+        const int32_t survivors = c.crash ? 3 : 4;
+        ASSERT_EQ(res.output.size(), static_cast<size_t>(survivors));
+        for (const auto& line : res.output)
+          EXPECT_TRUE(line.ends_with(std::string(": ") + c.expected)) << line;
+      }
+    }
+  }
+}
+
 // Abort-mode regression: the identical crash on a world whose errhandler was
 // never touched must fail-stop exactly as it did before recovery existed —
 // same abort, same reason, byte-identical across engines and repeats.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 namespace parcoach::simmpi {
@@ -120,6 +121,32 @@ TEST(SimMpi, ScanIsPrefixReduction) {
     if (p == want) ok.fetch_add(1);
   });
   EXPECT_EQ(ok.load(), 4);
+}
+
+// Integers wrap (64-bit two's complement, as in the interpreter): reductions
+// and the DSL bridge's gather/allgather/alltoall checksums past INT64_MAX
+// stay defined.
+TEST(SimMpi, SumsPastInt64MaxWrap) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  World w(fast_world(2));
+  std::atomic<int> ok{0};
+  w.run([&](Rank& mpi) {
+    // 2 * MAX = 2^64 - 2 and MAX * MAX = 2^126 - 2^64 + 1, modulo 2^64.
+    if (mpi.allreduce(kMax, ReduceOp::Sum) == -2) ok.fetch_add(1);
+    if (mpi.allreduce(kMax, ReduceOp::Prod) == 1) ok.fetch_add(1);
+    if (mpi.scan(kMax, ReduceOp::Sum) == (mpi.rank() == 0 ? kMax : -2))
+      ok.fetch_add(1);
+    Signature sig;
+    sig.kind = ir::CollectiveKind::Allgather;
+    if (mpi.execute(sig, kMax).scalar == -2) ok.fetch_add(1);
+    sig.kind = ir::CollectiveKind::Alltoall;
+    if (mpi.execute(sig, kMax).scalar == -2) ok.fetch_add(1);
+    sig.kind = ir::CollectiveKind::Gather;
+    sig.root = 0;
+    const int64_t gathered = mpi.execute(sig, kMax).scalar;
+    if (mpi.rank() != 0 || gathered == -2) ok.fetch_add(1);
+  });
+  EXPECT_EQ(ok.load(), 2 * 6);
 }
 
 TEST(SimMpi, KindMismatchHangsAndWatchdogReports) {

@@ -398,6 +398,61 @@ TEST(TraceExport, NpbMzChromeTraceIsSchemaValid) {
   EXPECT_TRUE(mroot.has("gauges"));
 }
 
+// ---- Engine trace parity -------------------------------------------------
+
+// The CollEnter/CollExit events of a run, in emission order.
+std::vector<std::pair<TraceEv, int64_t>> coll_spans(const Tracer& t) {
+  std::vector<std::pair<TraceEv, int64_t>> out;
+  for (const TraceEvent& e : t.snapshot())
+    if (e.kind == TraceEv::CollEnter || e.kind == TraceEv::CollExit)
+      out.emplace_back(e.kind, e.a);
+  return out;
+}
+
+// A collective or communicator operation aborted by a planned check is traced
+// the same way by both engines: the span opens before the occupancy and
+// thread-level checks, so the abort unwinds through its CollExit.
+TEST(TraceParity, CheckAbortedMpiCallIsTracedByBothEngines) {
+  for (const char* call : {"v = mpi_bcast(v, 0);", "var d = mpi_comm_dup();"}) {
+    SCOPED_TRACE(call);
+    const std::string src = str::cat(R"(func main() {
+  mpi_init(single);
+  var v = 1;
+  omp parallel num_threads(2) {
+    omp master {
+      )",
+                                     call, R"(
+    }
+  }
+  mpi_finalize();
+})");
+    SourceManager sm;
+    DiagnosticEngine diags;
+    driver::PipelineOptions popts;
+    popts.mode = driver::Mode::WarningsAndCodegen;
+    const auto r = driver::compile(sm, "trace_parity", src, diags, popts);
+    ASSERT_TRUE(r.ok) << diags.to_text(sm);
+
+    std::vector<std::vector<std::pair<TraceEv, int64_t>>> spans;
+    for (const auto engine : {interp::Engine::Ast, interp::Engine::Bytecode}) {
+      Tracer tracer(Tracer::Options{true, /*ring_capacity=*/1024});
+      interp::Executor exec(r.program, sm, &r.plan);
+      interp::ExecOptions eopts;
+      eopts.engine = engine;
+      eopts.num_ranks = 1;
+      eopts.verify.abort_on_thread_level = true;
+      eopts.tracer = &tracer;
+      const auto result = exec.run(eopts);
+      EXPECT_TRUE(result.mpi.aborted) << to_string(engine);
+      spans.push_back(coll_spans(tracer));
+    }
+    ASSERT_EQ(spans[0].size(), 2u);
+    EXPECT_EQ(spans[0][0].first, TraceEv::CollEnter);
+    EXPECT_EQ(spans[0][1].first, TraceEv::CollExit);
+    EXPECT_EQ(spans[0], spans[1]);
+  }
+}
+
 // ---- Flight recorder on a real deadlock --------------------------------
 
 TEST(TraceExport, WatchdogReportIncludesFlightRecorder) {
