@@ -13,9 +13,10 @@
 //               (the refinement's runtime payoff).
 //   blanket     checks at every site (the ablation upper bound).
 // The summary reports wall-clock overhead vs `none`, the number of CC
-// agreements actually executed, and the measured synchronization rounds per
-// collective (1.0 with the piggybacked protocol — the CC id rides inside
-// the application collective's own slot, so no dedicated round remains).
+// agreements actually executed, and the synchronization rounds per
+// collective (always 1.0: the runtime's only CC protocol rides inside the
+// application collective's own slot; bench_cc_protocol measures the paper's
+// dedicated round against it).
 //
 // Flags (accepted before the google-benchmark flags):
 //   --json=PATH   write machine-readable results to PATH (BENCH_runtime.json
@@ -119,7 +120,7 @@ std::unique_ptr<Compiled> compile_kernel(const Kernel& k) {
 struct RunStats {
   double ns = 0;
   uint64_t cc_rounds = 0;         // CC agreements executed (piggybacked)
-  double rounds_per_coll = 1.0;   // sync rounds per application collective
+  double rounds_per_coll = 1.0;   // sync rounds per collective: the lane adds none
 };
 
 RunStats run_once(const Compiled& c, Level level) {
@@ -138,12 +139,7 @@ RunStats run_once(const Compiled& c, Level level) {
   if (!result.clean) std::abort();
   RunStats s;
   s.ns = static_cast<double>(ns.count());
-  s.cc_rounds = result.mpi.cc_piggybacked + result.mpi.verifier_slots_completed;
-  if (result.mpi.app_slots_completed > 0)
-    s.rounds_per_coll =
-        static_cast<double>(result.mpi.app_slots_completed +
-                            result.mpi.verifier_slots_completed) /
-        static_cast<double>(result.mpi.app_slots_completed);
+  s.cc_rounds = result.mpi.cc_piggybacked;
   return s;
 }
 

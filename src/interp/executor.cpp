@@ -399,9 +399,7 @@ ExecResult Executor::run(const ExecOptions& opts) {
   wopts.tracer = opts.tracer;
   wopts.metrics = opts.metrics;
   simmpi::World world(wopts);
-  rt::VerifierOptions vopts = opts.verify;
-  vopts.tracer = opts.tracer;
-  rt::Verifier verifier(sm_, vopts, opts.num_ranks);
+  rt::Verifier verifier(sm_, opts.verify);
 
   SharedState shared;
   shared.program = &program_;

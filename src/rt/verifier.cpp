@@ -1,7 +1,6 @@
 #include "rt/verifier.h"
 
 #include "support/str.h"
-#include "support/trace.h"
 
 #include <cassert>
 #include <thread>
@@ -23,13 +22,12 @@ namespace {
 ///
 /// The comm-id field carries the registry identity of the communicator the
 /// collective runs on (0 = MPI_COMM_WORLD, which keeps world-only ids — and
-/// therefore every legacy diagnostic wording — bit-identical). Without it,
-/// two identical collectives issued on *different* communicators would
-/// spuriously agree in the dedicated-round protocol and in the exit
-/// sentinel; with it, the agreement is scoped per communicator. The field is
-/// always encoded, even in type-only mode: the paper skips *argument*
-/// checking, but "which communicator" is part of the collective's identity,
-/// not an argument.
+/// therefore every world diagnostic wording — unadorned). Without it, two
+/// identical collectives issued on *different* communicators would
+/// spuriously agree in the exit sentinel; with it, the agreement is scoped
+/// per communicator. The field is always encoded, even in type-only mode:
+/// the paper skips *argument* checking, but "which communicator" is part of
+/// the collective's identity, not an argument.
 constexpr int64_t kFinalId = -1;
 constexpr int kOpShift = 33;
 constexpr int kKindShift = 41;
@@ -81,20 +79,19 @@ std::string cc_name(int64_t id) {
     if (root >= 0) name += str::cat("(root=", root, ")");
   }
   // Non-world communicator: name the comm identity so a per-comm divergence
-  // report reads "MPI_Allreduce[sum]@comm#2". World ids stay unadorned (and
-  // bit-identical to the pre-comm encoding).
+  // report reads "MPI_Allreduce[sum]@comm#2". World ids stay unadorned.
   const int64_t comm = id >> kCommShift;
   if (comm > 0) name += str::cat("@comm#", comm);
   return name;
 }
 
-/// Shared per-rank mismatch-detail builder ("rank 0=MPI_Bcast, rank
-/// 1=MPI_Reduce"), used by every CC report. `world_ranks` maps each index to
-/// its world rank (empty = identity): a sub-communicator's CC ids are indexed
-/// by comm-local rank, and reports must speak world ranks like every other
-/// diagnostic in the system.
+/// Per-rank mismatch detail of a CC report ("rank 0=MPI_Bcast, rank
+/// 1=MPI_Reduce"). `world_ranks` maps each index to its world rank (empty =
+/// identity): a sub-communicator's CC ids are indexed by comm-local rank,
+/// and reports must speak world ranks like every other diagnostic in the
+/// system.
 std::string per_rank_detail(const std::vector<int64_t>& ids,
-                            const std::vector<int32_t>& world_ranks = {}) {
+                            const std::vector<int32_t>& world_ranks) {
   std::string detail;
   for (size_t r = 0; r < ids.size(); ++r) {
     const int32_t rank =
@@ -106,14 +103,8 @@ std::string per_rank_detail(const std::vector<int64_t>& ids,
 
 } // namespace
 
-Verifier::Verifier(const SourceManager& sm, VerifierOptions opts,
-                   int32_t num_ranks)
-    : sm_(sm), opts_(opts), num_ranks_(num_ranks),
-      trace_(Tracer::effective(opts.tracer)) {
-  cc_mu_.reserve(static_cast<size_t>(num_ranks));
-  for (int32_t r = 0; r < num_ranks; ++r)
-    cc_mu_.push_back(std::make_unique<std::mutex>());
-}
+Verifier::Verifier(const SourceManager& sm, VerifierOptions opts)
+    : sm_(sm), opts_(opts) {}
 
 void Verifier::record(Severity sev, DiagKind kind, SourceLoc loc, std::string msg,
                       std::vector<std::pair<SourceLoc, std::string>> notes) {
@@ -125,60 +116,6 @@ void Verifier::record(Severity sev, DiagKind kind, SourceLoc loc, std::string ms
   d.message = std::move(msg);
   d.notes = std::move(notes);
   diags_.push_back(std::move(d));
-}
-
-void Verifier::check_cc(simmpi::Rank& rank, ir::CollectiveKind kind,
-                        SourceLoc loc, std::optional<ir::ReduceOp> op,
-                        int32_t root, int32_t comm_id) {
-  const int64_t my_id = encode_cc(kind, op, root, opts_.check_arguments, comm_id);
-  std::vector<int64_t> ids;
-  {
-    std::scoped_lock cc_lock(*cc_mu_[static_cast<size_t>(rank.rank())]);
-    const simmpi::Signature sig{ir::CollectiveKind::Allgather, -1, {}};
-    ids = rank.verifier_comm().execute(rank.rank(), sig, my_id).vec;
-  }
-  bool mismatch = false;
-  for (int64_t id : ids) mismatch |= id != ids[0];
-  // The dedicated round runs on the verifier communicator (comm id -1).
-  if (trace_)
-    trace_->emit(TraceEv::CcCompare, rank.rank(), -1, -1, mismatch ? 1 : 0);
-  if (!mismatch) return;
-  if (trace_) trace_->emit(TraceEv::CcMismatch, rank.rank(), -1, -1);
-
-  // Every rank observes the same allgather result; let rank 0's thread
-  // produce the report to avoid duplicates, then abort the world.
-  if (rank.rank() == static_cast<int32_t>(0)) {
-    record(Severity::Error, DiagKind::RtCollectiveMismatch, loc,
-           str::cat("CC check: MPI processes are about to execute different "
-                    "collectives (", per_rank_detail(ids),
-                    "); stopping before deadlock"));
-  }
-  rank.abort(str::cat("CC mismatch detected before ", ir::to_string(kind),
-                      " at ", sm_.describe(loc)));
-  throw simmpi::AbortedError("CC mismatch");
-}
-
-void Verifier::check_cc_final(simmpi::Rank& rank, SourceLoc loc) {
-  std::vector<int64_t> ids;
-  {
-    std::scoped_lock cc_lock(*cc_mu_[static_cast<size_t>(rank.rank())]);
-    const simmpi::Signature sig{ir::CollectiveKind::Allgather, -1, {}};
-    ids = rank.verifier_comm().execute(rank.rank(), sig, kFinalId).vec;
-  }
-  bool mismatch = false;
-  for (int64_t id : ids) mismatch |= id != kFinalId;
-  if (trace_)
-    trace_->emit(TraceEv::CcCompare, rank.rank(), -1, -1, mismatch ? 1 : 0);
-  if (!mismatch) return;
-  if (trace_) trace_->emit(TraceEv::CcMismatch, rank.rank(), -1, -1);
-  if (rank.rank() == 0) {
-    record(Severity::Error, DiagKind::RtCollectiveMismatch, loc,
-           str::cat("CC check: some processes leave main while others still "
-                    "execute collectives (", per_rank_detail(ids),
-                    "); stopping before deadlock"));
-  }
-  rank.abort(str::cat("CC mismatch at process exit, ", sm_.describe(loc)));
-  throw simmpi::AbortedError("CC mismatch at exit");
 }
 
 // ---- Piggybacked CC -----------------------------------------------------------
@@ -213,23 +150,20 @@ void Verifier::report_cc_mismatch(simmpi::Rank& rank, ir::CollectiveKind kind,
                                   SourceLoc loc,
                                   const simmpi::CcMismatchError& e) {
   // The slot engine hands the full per-rank picture to exactly one thread,
-  // so the report is recorded unconditionally (no rank-0 dedup needed). The
-  // wording follows what rank 0 contributed — the thread that produced the
-  // report under the dedicated-communicator protocol.
-  const bool rank0_left_main = !e.ids.empty() && e.ids[0] == kFinalId;
-  if (rank0_left_main) {
-    record(Severity::Error, DiagKind::RtCollectiveMismatch, loc,
-           str::cat("CC check: some processes leave main while others still "
-                    "execute collectives (",
-                    per_rank_detail(e.ids, e.world_ranks),
-                    "); stopping before deadlock"));
+  // so the report is recorded unconditionally. The wording follows what
+  // rank 0 contributed: its leaving main makes this an exit mismatch.
+  const bool at_exit = !e.ids.empty() && e.ids[0] == kFinalId;
+  record(Severity::Error, DiagKind::RtCollectiveMismatch, loc,
+         str::cat(at_exit ? "CC check: some processes leave main while "
+                            "others still execute collectives ("
+                          : "CC check: MPI processes are about to execute "
+                            "different collectives (",
+                  per_rank_detail(e.ids, e.world_ranks),
+                  "); stopping before deadlock"));
+  if (at_exit) {
     rank.abort(str::cat("CC mismatch at process exit, ", sm_.describe(loc)));
     throw simmpi::AbortedError("CC mismatch at exit");
   }
-  record(Severity::Error, DiagKind::RtCollectiveMismatch, loc,
-         str::cat("CC check: MPI processes are about to execute different "
-                  "collectives (", per_rank_detail(e.ids, e.world_ranks),
-                  "); stopping before deadlock"));
   rank.abort(str::cat("CC mismatch detected before ", ir::to_string(kind),
                       " at ", sm_.describe(loc)));
   throw simmpi::AbortedError("CC mismatch");
@@ -240,8 +174,7 @@ void Verifier::check_cc_final_piggybacked(simmpi::Rank& rank, SourceLoc loc) {
   sig.cc = kFinalId;
   try {
     // Direct Comm access: the sentinel runs after mpi_finalize, past the
-    // Rank-level "call after finalize" guard, exactly like the legacy
-    // verifier-communicator sentinel did.
+    // Rank-level "call after finalize" guard.
     rank.app_comm().execute(rank.rank(), sig, 0);
   } catch (const simmpi::CcMismatchError& e) {
     report_cc_mismatch(rank, ir::CollectiveKind::Finalize, loc, e);
@@ -393,8 +326,18 @@ void Verifier::check_thread_usage(simmpi::Rank& rank, bool in_parallel,
     what = "MPI call from a non-master thread under MPI_THREAD_funneled";
   }
   if (!violation) return;
-  record(Severity::Warning, DiagKind::RtThreadLevelViolation, loc,
-         str::cat(what, " in rank ", rank.rank()));
+  // One warning per (rank, site): a violating statement in a loop would
+  // otherwise record a diagnostic per iteration.
+  bool first = false;
+  {
+    std::scoped_lock lk(mu_);
+    first = thread_level_seen_
+                .emplace(rank.rank(), loc.file, loc.line, loc.column)
+                .second;
+  }
+  if (first)
+    record(Severity::Warning, DiagKind::RtThreadLevelViolation, loc,
+           str::cat(what, " in rank ", rank.rank()));
   if (opts_.abort_on_thread_level) {
     rank.abort(str::cat(what, " at ", sm_.describe(loc)));
     throw simmpi::AbortedError(what);

@@ -1,8 +1,9 @@
 // Execution-time verification (Section 3 of the paper).
 //
 // The CC check runs *before* each instrumented collective and compares the
-// id of the collective every rank is about to execute. In production the
-// comparison is piggybacked: the interpreter's MPI-semantics layer
+// id of the collective every rank is about to execute. The paper spends a
+// dedicated agreement round on a separate communicator for it; here the
+// comparison is piggybacked instead: the interpreter's MPI-semantics layer
 // (interp/mpi_effects.h) puts the id (cc_lane_id, or cc_skeleton patched by
 // cc_patch) in the collective's own slot arrival, the slot engine compares
 // the ids of all arrivals, and a disagreement reaches report_cc_mismatch on
@@ -11,12 +12,8 @@
 // mismatched application collectives can deadlock. A sentinel id
 // (check_cc_final_piggybacked / _on) is deposited before a process leaves
 // main, catching "rank 0 returned while rank 1 still waits in MPI_Allreduce"
-// situations.
-//
-// check_cc / check_cc_final keep the paper's dedicated round — an allgather
-// of the ids on a separate verifier communicator — as the reference that
-// tests and benches compare the piggybacked lane against: the same wording,
-// at the cost of one extra synchronization round per check.
+// situations. The paper's dedicated round survives only as the baseline of
+// bench/bench_cc_protocol.cpp.
 //
 // Occupancy checks guard collectives that the static phase could not prove
 // monothreaded: a per-site counter detects two threads inside the same
@@ -36,6 +33,8 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
+#include <tuple>
 
 namespace parcoach::rt {
 
@@ -50,40 +49,21 @@ struct VerifierOptions {
   /// of collectives arguments ... is not checked"). Off = paper-faithful:
   /// an op/root divergence then manifests as a hang caught by the watchdog.
   bool check_arguments = true;
-  /// Observability: optional flight-recorder tracer. The verifier emits CC
-  /// compare/mismatch events only for the dedicated reference rounds
-  /// (check_cc / check_cc_final); on the production piggybacked lane the
-  /// slot engine emits them. The verifier caches the effective()-filtered
-  /// pointer; null = off.
-  Tracer* tracer = nullptr;
 };
 
 class Verifier {
 public:
-  Verifier(const SourceManager& sm, VerifierOptions opts, int32_t num_ranks);
-
-  /// Dedicated-round CC before a collective: the test/bench reference for the
-  /// piggybacked lane below. Aborts the world on mismatch (throws
-  /// simmpi::AbortedError into the calling rank like any abort). `op` and
-  /// `root` take part in the agreement when options.check_arguments is set;
-  /// root is the *evaluated* root rank (-1 for rootless collectives).
-  /// `comm_id` is the registry identity of the communicator the collective
-  /// runs on (0 = MPI_COMM_WORLD); it always takes part in the agreement, so
-  /// identical collectives on different communicators no longer spuriously
-  /// agree.
-  void check_cc(simmpi::Rank& rank, ir::CollectiveKind kind, SourceLoc loc,
-                std::optional<ir::ReduceOp> op = std::nullopt,
-                int32_t root = -1, int32_t comm_id = 0);
-
-  /// Dedicated-round CC sentinel before a process leaves main (reference).
-  void check_cc_final(simmpi::Rank& rank, SourceLoc loc);
+  Verifier(const SourceManager& sm, VerifierOptions opts);
 
   // -- Piggybacked CC (zero extra synchronization rounds) ---------------------
   /// CC id for an instrumented collective, to ride in simmpi::Signature::cc:
   /// the agreement value travels inside the application collective's own
-  /// slot arrival, so the check costs no dedicated-communicator round. `op`
-  /// and `root` take part when options.check_arguments is set, exactly like
-  /// check_cc.
+  /// slot arrival, so the check costs no extra synchronization round. `op`
+  /// and `root` (the *evaluated* root rank, -1 for rootless collectives)
+  /// take part when options.check_arguments is set. `comm_id` is the
+  /// registry identity of the communicator the collective runs on
+  /// (0 = MPI_COMM_WORLD); it always takes part, so identical collectives on
+  /// different communicators never spuriously agree.
   [[nodiscard]] int64_t cc_lane_id(ir::CollectiveKind kind,
                                    std::optional<ir::ReduceOp> op = std::nullopt,
                                    int32_t root = -1,
@@ -105,8 +85,9 @@ public:
                                  int32_t comm_id) const;
 
   /// Reports a piggybacked CC disagreement — the CcMismatchError the slot
-  /// engine throws to exactly one thread world-wide — with the same wording
-  /// check_cc / check_cc_final produce, then aborts the world.
+  /// engine throws to exactly one thread world-wide — naming every rank's
+  /// collective, then aborts the world (simmpi::AbortedError into the
+  /// calling rank like any abort).
   [[noreturn]] void report_cc_mismatch(simmpi::Rank& rank,
                                        ir::CollectiveKind kind, SourceLoc loc,
                                        const simmpi::CcMismatchError& e);
@@ -157,7 +138,9 @@ public:
   };
 
   /// Thread-level usage check at a collective site. `master_only` = the
-  /// executing thread is thread 0 of every enclosing team.
+  /// executing thread is thread 0 of every enclosing team. A violation is
+  /// recorded once per (rank, source location), however often the
+  /// statement runs.
   void check_thread_usage(simmpi::Rank& rank, bool in_parallel, bool master_only,
                           SourceLoc loc);
 
@@ -185,14 +168,12 @@ private:
 
   const SourceManager& sm_;
   VerifierOptions opts_;
-  int32_t num_ranks_;
-  Tracer* trace_ = nullptr; // effective()-filtered copy of opts_.tracer
 
   mutable std::mutex mu_;
   std::vector<Diagnostic> diags_;
-  /// Serializes CC calls within one rank so misuse cannot desynchronize the
-  /// verifier communicator itself.
-  std::vector<std::unique_ptr<std::mutex>> cc_mu_;
+  /// (rank, file, line, column) of every thread-level violation already
+  /// recorded. Guarded by mu_.
+  std::set<std::tuple<int32_t, int32_t, int32_t, int32_t>> thread_level_seen_;
   /// Occupancy per (rank, stmt). Guarded by mu_.
   std::map<std::pair<int32_t, int32_t>, int32_t> site_occupancy_;
   /// Active watched regions per (rank, region) with entry loc. Guarded by mu_.

@@ -174,7 +174,7 @@ struct BlockedInfo {
 
 /// Shared site formatter ("MPI_COMM_WORLD slot 3") used by every blocked /
 /// mismatch / leak description so communicator naming stays uniform now that
-/// comm names vary (world, comm_split#N, comm_dup#N, PARCOACH_COMM).
+/// comm names vary (MPI_COMM_WORLD, comm_split#N, comm_dup#N, comm_shrink#N).
 [[nodiscard]] std::string slot_site(std::string_view comm, size_t slot);
 
 class Comm {

@@ -21,9 +21,8 @@ public:
 
 /// Piggybacked CC agreement failed at a slot: the arrival that completed the
 /// slot's CC lane (exactly one thread world-wide) throws this with the full
-/// per-rank id vector so the runtime verifier can produce the same report the
-/// dedicated-communicator allgather used to, without the second
-/// synchronization round. Only slots armed through Signature::cc can raise it.
+/// per-rank id vector, from which the runtime verifier builds the CC report.
+/// Only slots armed through Signature::cc can raise it.
 class CcMismatchError : public std::runtime_error {
 public:
   CcMismatchError(size_t slot_idx, std::vector<int64_t> per_rank_ids,

@@ -17,13 +17,13 @@ class Rank::CallGuard {
 public:
   CallGuard(Rank& r, const char* what) : r_(r) {
     const int32_t concurrent = r_.in_mpi_.fetch_add(1) + 1;
-    if (concurrent > 1 && r_.world_->options().monitor_thread_levels &&
-        r_.provided_ != ir::ThreadLevel::Multiple) {
-      r_.world_->record_thread_violation(
-          r_.rank_, str::cat("rank ", r_.rank_, ": ", concurrent,
-                             " threads concurrently inside MPI (", what,
-                             ") but provided level is MPI_THREAD_",
-                             ir::to_string(r_.provided_)));
+    if (concurrent > 1 && r_.provided_ != ir::ThreadLevel::Multiple) {
+      std::string v = str::cat("rank ", r_.rank_, ": ", concurrent,
+                               " threads concurrently inside MPI (", what,
+                               ") but provided level is MPI_THREAD_",
+                               ir::to_string(r_.provided_));
+      std::scoped_lock lk(r_.world_->violations_mu_);
+      r_.world_->violations_.push_back(std::move(v));
     }
   }
   ~CallGuard() { r_.in_mpi_.fetch_sub(1); }
@@ -44,7 +44,6 @@ ir::ThreadLevel Rank::init(ir::ThreadLevel requested) {
 }
 
 Comm& Rank::app_comm() noexcept { return world_->comms_->world_comm(); }
-Comm& Rank::verifier_comm() noexcept { return *world_->verifier_comm_; }
 CommRegistry& Rank::comms() noexcept { return *world_->comms_; }
 
 // ---- Communicator management --------------------------------------------------
@@ -272,8 +271,7 @@ bool Rank::aborted() const { return world_->state_.is_aborted(); }
 
 World::World(Options opts) : opts_(opts) {
   // Observability hooks go into WorldState before any component exists:
-  // comms, the verifier comm and the request engine all cache them at
-  // construction.
+  // comms and the request engine cache them at construction.
   state_.tracer = Tracer::effective(opts_.tracer);
   state_.metrics = opts_.metrics;
   state_.fault = FaultInjector::effective(opts_.fault);
@@ -281,9 +279,6 @@ World::World(Options opts) : opts_(opts) {
   comms_ = std::make_unique<CommRegistry>(state_, opts_.num_ranks,
                                           opts_.strict_matching,
                                           opts_.world_cc_lane);
-  verifier_comm_ = std::make_unique<Comm>("PARCOACH_COMM", opts_.num_ranks,
-                                          state_, opts_.strict_matching,
-                                          /*comm_id=*/-1);
   requests_ = std::make_unique<RequestEngine>(state_, opts_.num_ranks);
   ranks_.reserve(static_cast<size_t>(opts_.num_ranks));
   for (int32_t r = 0; r < opts_.num_ranks; ++r) {
@@ -291,12 +286,6 @@ World::World(Options opts) : opts_(opts) {
     ranks_.back()->world_ = this;
     ranks_.back()->rank_ = r;
   }
-}
-
-void World::record_thread_violation(int32_t rank, const std::string& what) {
-  (void)rank;
-  std::scoped_lock lk(violations_mu_);
-  violations_.push_back(what);
 }
 
 RunReport World::run(const std::function<void(Rank&)>& body) {
@@ -373,7 +362,6 @@ RunReport World::run(const std::function<void(Rank&)>& body) {
       }
     };
     for (Comm* c : all_comms) describe(c->blocked_snapshot());
-    describe(verifier_comm_->blocked_snapshot());
   };
   auto recorder_appendix = [&](std::vector<int32_t> blocked_ranks) {
     if (!state_.tracer) return std::string();
@@ -405,12 +393,12 @@ RunReport World::run(const std::function<void(Rank&)>& body) {
       continue;
     }
     // Poll every communicator the registry knows (world + split/dup
-    // children) plus the verifier's: a deadlock cycle can span several.
+    // children): a deadlock cycle can span several.
     if (const uint64_t v = comms_->created_comms(); v != comms_version) {
       all_comms = comms_->all_comms();
       comms_version = v;
     }
-    bool blocked_somewhere = verifier_comm_->any_blocked();
+    bool blocked_somewhere = false;
     for (Comm* c : all_comms) blocked_somewhere |= c->any_blocked();
     if (!blocked_somewhere) {
       last_change = now; // ranks are computing, not stuck in MPI
@@ -462,8 +450,6 @@ RunReport World::run(const std::function<void(Rank&)>& body) {
     std::scoped_lock lk(violations_mu_);
     report.thread_level_violations = violations_;
   }
-  report.verifier_slots_completed = verifier_comm_->completed_slots();
-  report.cc_piggybacked = verifier_comm_->cc_checked_slots();
   for (Comm* c : comms_->all_comms()) {
     report.app_slots_completed += c->completed_slots();
     report.cc_piggybacked += c->cc_checked_slots();

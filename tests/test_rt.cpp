@@ -1,7 +1,13 @@
-// Unit tests: the runtime verifier — CC protocol (agreement, mismatch,
-// process-exit sentinel), occupancy guards, region registry, thread-usage
-// checks. Exercised directly over simmpi worlds (no interpreter).
+// Unit tests: the runtime verifier — CC protocol on the piggybacked lane
+// (agreement, mismatch, process-exit sentinel), occupancy guards, region
+// registry, thread-usage checks. Exercised directly over simmpi worlds (no
+// interpreter); the remaining CC lane cases (exact report wording, op/root
+// divergence, nonblocking issue) live in test_simmpi_stress.cpp.
 #include "rt/verifier.h"
+
+#include "driver/pipeline.h"
+#include "interp/executor.h"
+#include "support/str.h"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +15,7 @@ namespace parcoach::rt {
 namespace {
 
 using simmpi::Rank;
+using simmpi::Signature;
 using simmpi::World;
 
 World::Options fast_world(int32_t ranks) {
@@ -18,62 +25,37 @@ World::Options fast_world(int32_t ranks) {
   return o;
 }
 
-TEST(CcProtocol, AgreementPassesAndCostsOneVerifierSlot) {
+/// Issues `sig` with its CC id on the piggybacked lane, the way the
+/// interpreter's MPI-semantics layer does: the id rides in the collective's
+/// own slot arrival, and a disagreement reaches report_cc_mismatch on the one
+/// thread the slot engine throws it to. Nonblocking kinds are issued and then
+/// waited on. `comm_id` is the identity encoded in the id (the registry id of
+/// `comm` in real use).
+void lane(Verifier& v, Rank& mpi, Signature sig, int32_t comm_id = 0,
+          int64_t comm = Rank::kCommWorld) {
+  sig.cc = v.cc_lane_id(sig.kind, sig.op, sig.root, comm_id);
+  try {
+    if (ir::is_nonblocking(sig.kind))
+      mpi.wait(mpi.istart_on(comm, sig, 1));
+    else
+      mpi.execute_on(comm, sig, 1);
+  } catch (const simmpi::CcMismatchError& e) {
+    v.report_cc_mismatch(mpi, sig.kind, {}, e);
+  }
+}
+
+TEST(CcProtocol, AgreementPassesInOneRoundPerCollective) {
   SourceManager sm;
   World w(fast_world(4));
-  Verifier v(sm, {}, 4);
+  Verifier v(sm, {});
   const auto rep = w.run([&](Rank& mpi) {
-    v.check_cc(mpi, ir::CollectiveKind::Allreduce, {});
-    mpi.allreduce(1, simmpi::ReduceOp::Sum);
-    v.check_cc(mpi, ir::CollectiveKind::Barrier, {});
-    mpi.barrier();
+    lane(v, mpi, {ir::CollectiveKind::Allreduce, -1, simmpi::ReduceOp::Sum});
+    lane(v, mpi, {ir::CollectiveKind::Barrier, -1, {}});
   });
   EXPECT_TRUE(rep.ok) << rep.abort_reason;
   EXPECT_EQ(v.error_count(), 0u);
-  EXPECT_EQ(rep.verifier_slots_completed, 2u);
-}
-
-TEST(CcProtocol, KindMismatchAbortsBeforeCollective) {
-  SourceManager sm;
-  World w(fast_world(2));
-  Verifier v(sm, {}, 2);
-  std::atomic<int> reached_collective{0};
-  const auto rep = w.run([&](Rank& mpi) {
-    if (mpi.rank() == 0) {
-      v.check_cc(mpi, ir::CollectiveKind::Bcast, {});
-      reached_collective.fetch_add(1);
-      mpi.bcast(1, 0);
-    } else {
-      v.check_cc(mpi, ir::CollectiveKind::Reduce, {});
-      reached_collective.fetch_add(1);
-      mpi.reduce(1, simmpi::ReduceOp::Sum, 0);
-    }
-  });
-  EXPECT_FALSE(rep.ok);
-  EXPECT_FALSE(rep.deadlock) << "CC must fire before the app collectives hang";
-  EXPECT_EQ(reached_collective.load(), 0);
-  ASSERT_EQ(v.error_count(), 1u);
-  const auto diags = v.diagnostics();
-  EXPECT_EQ(diags[0].kind, DiagKind::RtCollectiveMismatch);
-  EXPECT_NE(diags[0].message.find("MPI_Bcast"), std::string::npos);
-  EXPECT_NE(diags[0].message.find("MPI_Reduce"), std::string::npos);
-}
-
-TEST(CcProtocol, ArgumentDivergenceCaughtWhenEnabled) {
-  // Extension over the paper: op/root take part in the agreement.
-  SourceManager sm;
-  World w(fast_world(2));
-  Verifier v(sm, {}, 2);
-  const auto rep = w.run([&](Rank& mpi) {
-    const auto op = mpi.rank() == 0 ? simmpi::ReduceOp::Sum : simmpi::ReduceOp::Max;
-    v.check_cc(mpi, ir::CollectiveKind::Allreduce, {}, op, -1);
-    mpi.allreduce(1, op);
-  });
-  EXPECT_FALSE(rep.ok);
-  EXPECT_FALSE(rep.deadlock) << "argument checking must fire before the hang";
-  ASSERT_EQ(v.error_count(), 1u);
-  EXPECT_NE(v.diagnostics()[0].message.find("[sum]"), std::string::npos);
-  EXPECT_NE(v.diagnostics()[0].message.find("[max]"), std::string::npos);
+  EXPECT_EQ(rep.app_slots_completed, 2u);
+  EXPECT_EQ(rep.cc_piggybacked, 2u);
 }
 
 TEST(CcProtocol, TypeOnlyModeIsPaperFaithful) {
@@ -83,70 +65,24 @@ TEST(CcProtocol, TypeOnlyModeIsPaperFaithful) {
   World w(fast_world(2));
   VerifierOptions vopts;
   vopts.check_arguments = false;
-  Verifier v(sm, vopts, 2);
+  Verifier v(sm, vopts);
   const auto rep = w.run([&](Rank& mpi) {
     const auto op = mpi.rank() == 0 ? simmpi::ReduceOp::Sum : simmpi::ReduceOp::Max;
-    v.check_cc(mpi, ir::CollectiveKind::Allreduce, {}, op, -1);
-    mpi.allreduce(1, op);
+    lane(v, mpi, {ir::CollectiveKind::Allreduce, -1, op});
   });
   EXPECT_EQ(v.error_count(), 0u) << "type-only CC must not flag op divergence";
   EXPECT_TRUE(rep.deadlock) << "the op mismatch then hangs in the collective";
 }
 
-TEST(CcProtocol, TypeOnlyModeRootDivergenceHangs) {
-  // Paper-faithful mode on a *root* divergence: kinds agree so CC passes,
-  // and the wrong root becomes a hang the watchdog reports — not a CC abort.
-  SourceManager sm;
-  World w(fast_world(2));
-  VerifierOptions vopts;
-  vopts.check_arguments = false;
-  Verifier v(sm, vopts, 2);
-  const auto rep = w.run([&](Rank& mpi) {
-    v.check_cc(mpi, ir::CollectiveKind::Bcast, {}, std::nullopt, mpi.rank());
-    mpi.bcast(1, mpi.rank());
-  });
-  EXPECT_EQ(v.error_count(), 0u) << "type-only CC must not see the root";
-  EXPECT_TRUE(rep.deadlock) << "root divergence must surface as a hang";
-  EXPECT_NE(rep.deadlock_details.find("root="), std::string::npos)
-      << rep.deadlock_details;
-}
-
-TEST(CcProtocol, CoversNonblockingKinds) {
-  // The agreement distinguishes Ibarrier from Iallreduce (and from their
-  // blocking counterparts) at issue time.
-  SourceManager sm;
-  World w(fast_world(2));
-  Verifier v(sm, {}, 2);
-  const auto rep = w.run([&](Rank& mpi) {
-    const auto kind = mpi.rank() == 0 ? ir::CollectiveKind::Ibarrier
-                                      : ir::CollectiveKind::Iallreduce;
-    v.check_cc(mpi, kind, {});
-    const int64_t r = mpi.rank() == 0
-                          ? mpi.ibarrier()
-                          : mpi.iallreduce(1, simmpi::ReduceOp::Sum);
-    mpi.wait(r);
-  });
-  EXPECT_FALSE(rep.ok);
-  EXPECT_FALSE(rep.deadlock) << "CC must fire before the waits hang";
-  ASSERT_EQ(v.error_count(), 1u);
-  EXPECT_NE(v.diagnostics()[0].message.find("MPI_Ibarrier"), std::string::npos);
-  EXPECT_NE(v.diagnostics()[0].message.find("MPI_Iallreduce"),
-            std::string::npos);
-}
-
 TEST(CcProtocol, BlockingVsNonblockingKindDistinguished) {
   SourceManager sm;
   World w(fast_world(2));
-  Verifier v(sm, {}, 2);
+  Verifier v(sm, {});
   const auto rep = w.run([&](Rank& mpi) {
-    const auto kind = mpi.rank() == 0 ? ir::CollectiveKind::Barrier
-                                      : ir::CollectiveKind::Ibarrier;
-    v.check_cc(mpi, kind, {});
-    if (mpi.rank() == 0) {
-      mpi.barrier();
-    } else {
-      mpi.wait(mpi.ibarrier());
-    }
+    lane(v, mpi,
+         {mpi.rank() == 0 ? ir::CollectiveKind::Barrier
+                          : ir::CollectiveKind::Ibarrier,
+          -1, {}});
   });
   EXPECT_FALSE(rep.deadlock);
   ASSERT_EQ(v.error_count(), 1u);
@@ -155,58 +91,47 @@ TEST(CcProtocol, BlockingVsNonblockingKindDistinguished) {
   EXPECT_NE(diags[0].message.find("MPI_Ibarrier"), std::string::npos);
 }
 
-TEST(CcProtocol, RootDivergenceCaught) {
-  SourceManager sm;
-  World w(fast_world(2));
-  Verifier v(sm, {}, 2);
-  const auto rep = w.run([&](Rank& mpi) {
-    v.check_cc(mpi, ir::CollectiveKind::Bcast, {}, std::nullopt, mpi.rank());
-    mpi.bcast(1, mpi.rank());
-  });
-  EXPECT_FALSE(rep.deadlock);
-  ASSERT_EQ(v.error_count(), 1u);
-  EXPECT_NE(v.diagnostics()[0].message.find("root="), std::string::npos);
-}
-
 TEST(CcProtocol, EarlyExitDetectedBySentinel) {
   SourceManager sm;
   World w(fast_world(3));
-  Verifier v(sm, {}, 3);
+  Verifier v(sm, {});
   const auto rep = w.run([&](Rank& mpi) {
     if (mpi.rank() == 0) {
-      v.check_cc_final(mpi, {}); // leaving while others still communicate
+      // Leaving while the others still communicate.
+      v.check_cc_final_piggybacked(mpi, {});
     } else {
-      v.check_cc(mpi, ir::CollectiveKind::Barrier, {});
-      mpi.barrier();
+      lane(v, mpi, {ir::CollectiveKind::Barrier, -1, {}});
     }
   });
   EXPECT_FALSE(rep.ok);
   EXPECT_FALSE(rep.deadlock);
-  ASSERT_GE(v.error_count(), 1u);
-  EXPECT_NE(v.diagnostics()[0].message.find("leave main"), std::string::npos);
+  ASSERT_EQ(v.error_count(), 1u);
+  const std::string msg = v.diagnostics()[0].message;
+  EXPECT_NE(msg.find("leave main"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("rank 2=MPI_Barrier"), std::string::npos) << msg;
 }
 
 TEST(CcProtocol, AllFinalsPass) {
   SourceManager sm;
   World w(fast_world(3));
-  Verifier v(sm, {}, 3);
-  const auto rep = w.run([&](Rank& mpi) { v.check_cc_final(mpi, {}); });
-  EXPECT_TRUE(rep.ok);
+  Verifier v(sm, {});
+  const auto rep =
+      w.run([&](Rank& mpi) { v.check_cc_final_piggybacked(mpi, {}); });
+  EXPECT_TRUE(rep.ok) << rep.abort_reason;
   EXPECT_EQ(v.error_count(), 0u);
 }
 
 TEST(CcProtocol, CommIdentityDistinguishesSameKindOnDifferentComms) {
-  // Before the comm-id field, two identical collectives on different
-  // communicators spuriously agreed in the dedicated-round protocol (same
-  // kind, op, root) and the run went on to deadlock. With the comm identity
-  // in the encoding, the CC catches the divergence and names both comms.
+  // Two identical collectives whose ids name different communicators must
+  // not agree: with the comm identity in the encoding, the CC catches the
+  // divergence and names both comms.
   SourceManager sm;
   World w(fast_world(2));
-  Verifier v(sm, {}, 2);
+  Verifier v(sm, {});
   const auto rep = w.run([&](Rank& mpi) {
-    // Rank r is about to run the allreduce on comm id r+1.
-    v.check_cc(mpi, ir::CollectiveKind::Allreduce, {}, simmpi::ReduceOp::Sum,
-               -1, /*comm_id=*/mpi.rank() + 1);
+    // Rank r claims to run the allreduce on comm id r+1.
+    lane(v, mpi, {ir::CollectiveKind::Allreduce, -1, simmpi::ReduceOp::Sum},
+         /*comm_id=*/mpi.rank() + 1);
   });
   EXPECT_FALSE(rep.ok);
   EXPECT_FALSE(rep.deadlock) << "comm divergence must be a CC abort, not a hang";
@@ -223,10 +148,10 @@ TEST(CcProtocol, CommIdentityTakesPartEvenInTypeOnlyMode) {
   VerifierOptions vopts;
   vopts.check_arguments = false;
   World w(fast_world(2));
-  Verifier v(sm, vopts, 2);
+  Verifier v(sm, vopts);
   const auto rep = w.run([&](Rank& mpi) {
-    v.check_cc(mpi, ir::CollectiveKind::Barrier, {}, std::nullopt, -1,
-               /*comm_id=*/mpi.rank() == 0 ? 0 : 3);
+    lane(v, mpi, {ir::CollectiveKind::Barrier, -1, {}},
+         /*comm_id=*/mpi.rank() == 0 ? 0 : 3);
   });
   EXPECT_FALSE(rep.ok);
   ASSERT_EQ(v.error_count(), 1u);
@@ -235,10 +160,10 @@ TEST(CcProtocol, CommIdentityTakesPartEvenInTypeOnlyMode) {
 }
 
 TEST(CcProtocol, WorldCommIdKeepsLegacyIdsBitIdentical) {
-  // comm id 0 must not change any world-only encoding: every pre-comm
+  // comm id 0 must not change any world-only encoding: every world
   // diagnostic wording (asserted string-equal elsewhere) depends on it.
   SourceManager sm;
-  Verifier v(sm, {}, 2);
+  Verifier v(sm, {});
   EXPECT_EQ(v.cc_lane_id(ir::CollectiveKind::Allreduce, simmpi::ReduceOp::Sum,
                          -1),
             v.cc_lane_id(ir::CollectiveKind::Allreduce, simmpi::ReduceOp::Sum,
@@ -255,18 +180,12 @@ TEST(CcProtocol, PiggybackedPerCommStreamCatchesDupMismatch) {
   // own slot and the report names the comm identity.
   SourceManager sm;
   World w(fast_world(2));
-  Verifier v(sm, {}, 2);
+  Verifier v(sm, {});
   const auto rep = w.run([&](Rank& mpi) {
     const int64_t d = mpi.comm_dup(Rank::kCommWorld);
     const auto op =
         mpi.rank() == 0 ? simmpi::ReduceOp::Sum : simmpi::ReduceOp::Max;
-    simmpi::Signature sig{ir::CollectiveKind::Allreduce, -1, op};
-    sig.cc = v.cc_lane_id(sig.kind, sig.op, sig.root, mpi.comm_id_of(d));
-    try {
-      mpi.execute_on(d, sig, 1);
-    } catch (const simmpi::CcMismatchError& e) {
-      v.report_cc_mismatch(mpi, sig.kind, {}, e);
-    }
+    lane(v, mpi, {ir::CollectiveKind::Allreduce, -1, op}, mpi.comm_id_of(d), d);
   });
   EXPECT_FALSE(rep.ok);
   EXPECT_FALSE(rep.deadlock) << "per-comm CC must fire before the hang";
@@ -283,20 +202,14 @@ TEST(CcProtocol, SubcommMismatchReportNamesWorldRanks) {
   // member) or misattributing rank 2's op to rank 1 would be wrong.
   SourceManager sm;
   World w(fast_world(3));
-  Verifier v(sm, {}, 3);
+  Verifier v(sm, {});
   const auto rep = w.run([&](Rank& mpi) {
     const int64_t c =
         mpi.comm_split(Rank::kCommWorld, mpi.rank() == 0 ? -1 : 0, 0);
     if (mpi.rank() == 0) return;
     const auto op =
         mpi.rank() == 1 ? simmpi::ReduceOp::Sum : simmpi::ReduceOp::Max;
-    simmpi::Signature sig{ir::CollectiveKind::Allreduce, -1, op};
-    sig.cc = v.cc_lane_id(sig.kind, sig.op, sig.root, mpi.comm_id_of(c));
-    try {
-      mpi.execute_on(c, sig, 1);
-    } catch (const simmpi::CcMismatchError& e) {
-      v.report_cc_mismatch(mpi, sig.kind, {}, e);
-    }
+    lane(v, mpi, {ir::CollectiveKind::Allreduce, -1, op}, mpi.comm_id_of(c), c);
   });
   EXPECT_FALSE(rep.ok);
   EXPECT_FALSE(rep.deadlock);
@@ -313,7 +226,7 @@ TEST(CcProtocol, SubcommMismatchReportNamesWorldRanks) {
 TEST(MonoGuard, SingleThreadPasses) {
   SourceManager sm;
   World w(fast_world(2));
-  Verifier v(sm, {}, 2);
+  Verifier v(sm, {});
   const auto rep = w.run([&](Rank& mpi) {
     for (int i = 0; i < 5; ++i) {
       Verifier::MonoGuard guard(v, mpi, /*stmt_id=*/7, {});
@@ -329,7 +242,7 @@ TEST(MonoGuard, ConcurrentThreadsDetected) {
   World w(fast_world(1));
   VerifierOptions vopts;
   vopts.rendezvous = std::chrono::milliseconds(50);
-  Verifier v(sm, vopts, 1);
+  Verifier v(sm, vopts);
   const auto rep = w.run([&](Rank& mpi) {
     auto hit_site = [&] {
       try {
@@ -352,7 +265,7 @@ TEST(RegionGuard, DistinctRegionsConcurrentlyActiveDetected) {
   World w(fast_world(1));
   VerifierOptions vopts;
   vopts.rendezvous = std::chrono::milliseconds(50);
-  Verifier v(sm, vopts, 1);
+  Verifier v(sm, vopts);
   w.run([&](Rank& mpi) {
     auto enter = [&](int32_t region) {
       try {
@@ -373,7 +286,7 @@ TEST(RegionGuard, SelfOverlapDetected) {
   World w(fast_world(1));
   VerifierOptions vopts;
   vopts.rendezvous = std::chrono::milliseconds(50);
-  Verifier v(sm, vopts, 1);
+  Verifier v(sm, vopts);
   w.run([&](Rank& mpi) {
     auto enter = [&] {
       try {
@@ -395,7 +308,7 @@ TEST(RegionGuard, LoopIterationReentryIsFine) {
   // (the conforming shape): never a self-overlap.
   SourceManager sm;
   World w(fast_world(2));
-  Verifier v(sm, {}, 2);
+  Verifier v(sm, {});
   const auto rep = w.run([&](Rank& mpi) {
     for (int iter = 0; iter < 6; ++iter) {
       Verifier::RegionGuard guard(v, mpi, /*region_id=*/3, {});
@@ -414,7 +327,7 @@ TEST(RegionGuard, LoopCarriedSelfOverlapDetected) {
   World w(fast_world(1));
   VerifierOptions vopts;
   vopts.rendezvous = std::chrono::milliseconds(50);
-  Verifier v(sm, vopts, 1);
+  Verifier v(sm, vopts);
   w.run([&](Rank& mpi) {
     auto iteration = [&] {
       try {
@@ -437,19 +350,17 @@ TEST(CcProtocol, FinalSentinelAgainstNonblockingIssue) {
   // sentinel names both sides.
   SourceManager sm;
   World w(fast_world(2));
-  Verifier v(sm, {}, 2);
+  Verifier v(sm, {});
   const auto rep = w.run([&](Rank& mpi) {
     if (mpi.rank() == 0) {
-      v.check_cc_final(mpi, {});
+      v.check_cc_final_piggybacked(mpi, {});
     } else {
-      v.check_cc(mpi, ir::CollectiveKind::Iallreduce, {},
-                 simmpi::ReduceOp::Sum, -1);
-      mpi.wait(mpi.iallreduce(1, simmpi::ReduceOp::Sum));
+      lane(v, mpi, {ir::CollectiveKind::Iallreduce, -1, simmpi::ReduceOp::Sum});
     }
   });
   EXPECT_FALSE(rep.ok);
   EXPECT_FALSE(rep.deadlock);
-  ASSERT_GE(v.error_count(), 1u);
+  ASSERT_EQ(v.error_count(), 1u);
   const auto diags = v.diagnostics();
   EXPECT_NE(diags[0].message.find("leave main"), std::string::npos);
   EXPECT_NE(diags[0].message.find("MPI_Iallreduce"), std::string::npos);
@@ -462,25 +373,24 @@ TEST(CcProtocol, FinalSentinelSymmetricInTypeOnlyMode) {
   VerifierOptions vopts;
   vopts.check_arguments = false;
   World w(fast_world(2));
-  Verifier v(sm, vopts, 2);
+  Verifier v(sm, vopts);
   const auto rep = w.run([&](Rank& mpi) {
     if (mpi.rank() == 0) {
-      v.check_cc_final(mpi, {});
+      v.check_cc_final_piggybacked(mpi, {});
     } else {
-      v.check_cc(mpi, ir::CollectiveKind::Barrier, {});
-      mpi.barrier();
+      lane(v, mpi, {ir::CollectiveKind::Barrier, -1, {}});
     }
   });
   EXPECT_FALSE(rep.ok);
   EXPECT_FALSE(rep.deadlock);
-  ASSERT_GE(v.error_count(), 1u);
+  ASSERT_EQ(v.error_count(), 1u);
   EXPECT_NE(v.diagnostics()[0].message.find("leave main"), std::string::npos);
 }
 
 TEST(RegionGuard, SequentialRegionsAreFine) {
   SourceManager sm;
   World w(fast_world(2));
-  Verifier v(sm, {}, 2);
+  Verifier v(sm, {});
   const auto rep = w.run([&](Rank& mpi) {
     for (int32_t region = 0; region < 4; ++region) {
       Verifier::RegionGuard guard(v, mpi, region, {});
@@ -495,7 +405,7 @@ TEST(RegionGuard, DifferentRanksDoNotInterfere) {
   World w(fast_world(2));
   VerifierOptions vopts;
   vopts.rendezvous = std::chrono::milliseconds(30);
-  Verifier v(sm, vopts, 2);
+  Verifier v(sm, vopts);
   // Rank 0 sits in region 1 while rank 1 sits in region 2: fine (the
   // registry is per process).
   const auto rep = w.run([&](Rank& mpi) {
@@ -509,7 +419,7 @@ TEST(RegionGuard, DifferentRanksDoNotInterfere) {
 TEST(ThreadUsage, FunneledViolationRecorded) {
   SourceManager sm;
   World w(fast_world(1));
-  Verifier v(sm, {}, 1);
+  Verifier v(sm, {});
   w.run([&](Rank& mpi) {
     mpi.init(ir::ThreadLevel::Funneled);
     v.check_thread_usage(mpi, /*in_parallel=*/true, /*master_only=*/false, {});
@@ -522,12 +432,83 @@ TEST(ThreadUsage, FunneledViolationRecorded) {
   EXPECT_EQ(diags[0].severity, Severity::Warning);
 }
 
+TEST(ThreadUsage, RepeatedViolationRecordedOncePerRankAndSite) {
+  SourceManager sm;
+  World w(fast_world(2));
+  Verifier v(sm, {});
+  const SourceLoc site{0, 4, 7};
+  const SourceLoc other{0, 9, 3};
+  w.run([&](Rank& mpi) {
+    mpi.init(ir::ThreadLevel::Funneled);
+    for (int i = 0; i < 100; ++i)
+      v.check_thread_usage(mpi, /*in_parallel=*/true, /*master_only=*/false,
+                           site);
+    v.check_thread_usage(mpi, /*in_parallel=*/true, /*master_only=*/false,
+                         other);
+  });
+  const auto diags = v.diagnostics();
+  ASSERT_EQ(diags.size(), 4u) << "one warning per (rank, site)";
+  for (int32_t r = 0; r < 2; ++r) {
+    for (const SourceLoc& loc : {site, other}) {
+      size_t n = 0;
+      for (const auto& d : diags)
+        n += d.loc == loc && str::contains(d.message, str::cat("in rank ", r));
+      EXPECT_EQ(n, 1u) << "rank " << r << " line " << loc.line;
+    }
+  }
+}
+
+TEST(ThreadUsage, LoopedViolationWarnsOncePerRankOnBothEngines) {
+  // A non-master thread runs a collective 200 times under FUNNELED: each
+  // rank gets one rt-thread-level warning for the site, not one per call.
+  static constexpr const char* kSrc = R"(func main() {
+  mpi_init(funneled);
+  var x = rank();
+  omp parallel num_threads(2) {
+    if (omp_thread_num() == 1) {
+      for (i = 0 to 200) {
+        omp critical {
+          x = mpi_allreduce(x, sum);
+        }
+      }
+    }
+  }
+  mpi_finalize();
+}
+)";
+  SourceManager sm;
+  DiagnosticEngine diags;
+  driver::PipelineOptions popts;
+  popts.mode = driver::Mode::WarningsAndCodegen;
+  const auto r = driver::compile(sm, "looped_funneled", kSrc, diags, popts);
+  ASSERT_TRUE(r.ok) << diags.to_text(sm);
+  for (const auto engine : {interp::Engine::Ast, interp::Engine::Bytecode}) {
+    SCOPED_TRACE(to_string(engine));
+    interp::Executor exec(r.program, sm, &r.plan);
+    interp::ExecOptions eopts;
+    eopts.engine = engine;
+    eopts.num_ranks = 2;
+    eopts.mpi.hang_timeout = std::chrono::milliseconds(5000);
+    const auto res = exec.run(eopts);
+    EXPECT_TRUE(res.mpi.ok) << res.mpi.abort_reason << res.mpi.deadlock_details;
+    size_t per_rank[2] = {0, 0};
+    for (const auto& d : res.rt_diags) {
+      ASSERT_EQ(d.kind, DiagKind::RtThreadLevelViolation) << d.message;
+      for (int32_t rank = 0; rank < 2; ++rank)
+        per_rank[rank] += str::contains(d.message, str::cat("in rank ", rank));
+    }
+    EXPECT_EQ(res.rt_diags.size(), 2u);
+    EXPECT_EQ(per_rank[0], 1u);
+    EXPECT_EQ(per_rank[1], 1u);
+  }
+}
+
 TEST(ThreadUsage, SingleLevelViolationAndAbortOption) {
   SourceManager sm;
   VerifierOptions vopts;
   vopts.abort_on_thread_level = true;
   World w(fast_world(1));
-  Verifier v(sm, vopts, 1);
+  Verifier v(sm, vopts);
   const auto rep = w.run([&](Rank& mpi) {
     mpi.init(ir::ThreadLevel::Single);
     v.check_thread_usage(mpi, /*in_parallel=*/true, /*master_only=*/true, {});
@@ -539,7 +520,7 @@ TEST(ThreadUsage, SingleLevelViolationAndAbortOption) {
 TEST(ThreadUsage, UninitializedRankIsIgnored) {
   SourceManager sm;
   World w(fast_world(1));
-  Verifier v(sm, {}, 1);
+  Verifier v(sm, {});
   w.run([&](Rank& mpi) {
     v.check_thread_usage(mpi, true, false, {});
   });
@@ -556,7 +537,7 @@ TEST(CcProtocol, SkeletonPlusPatchMatchesLaneId) {
   for (const bool check_args : {true, false}) {
     VerifierOptions opts;
     opts.check_arguments = check_args;
-    Verifier v(sm, opts, 2);
+    Verifier v(sm, opts);
     for (int k = 0; k < ir::kNumCollectiveKinds; ++k) {
       const auto kind = static_cast<ir::CollectiveKind>(k);
       const std::optional<ir::ReduceOp> ops[] = {std::nullopt,

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <map>
@@ -328,7 +329,8 @@ private:
 interp::ExecResult run_traced(const std::string& name,
                               const std::string& source, Tracer& tracer,
                               MetricsRegistry* metrics, int32_t ranks,
-                              int32_t threads, int32_t timeout_ms) {
+                              int32_t threads, int32_t timeout_ms,
+                              interp::Engine engine = interp::Engine::Bytecode) {
   SourceManager sm;
   DiagnosticEngine diags;
   driver::PipelineOptions popts;
@@ -338,6 +340,7 @@ interp::ExecResult run_traced(const std::string& name,
   interp::Executor exec(r.program, sm, &r.plan);
   interp::ExecOptions eopts;
   eopts.num_ranks = ranks;
+  eopts.engine = engine;
   eopts.num_threads = threads;
   eopts.mpi.hang_timeout = std::chrono::milliseconds(timeout_ms);
   eopts.tracer = &tracer;
@@ -450,6 +453,84 @@ TEST(TraceParity, CheckAbortedMpiCallIsTracedByBothEngines) {
     EXPECT_EQ(spans[0][0].first, TraceEv::CollEnter);
     EXPECT_EQ(spans[0][1].first, TraceEv::CollExit);
     EXPECT_EQ(spans[0], spans[1]);
+  }
+}
+
+// ---- CC lane events ------------------------------------------------------
+
+// The piggybacked lane is the only emitter of cc_publish / cc_compare /
+// cc_mismatch (perfbench's rt.cc_compares counts them): every armed slot
+// publishes one id per rank and is compared once, by the arrival that
+// completes its lane.
+TEST(TraceCcLane, AgreeingAndDivergentRunsOnBothEngines) {
+  constexpr int kIters = 12;
+  const std::string agreeing = str::cat(R"(func main() {
+  mpi_init(single);
+  var x = rank() + 1;
+  for (i = 0 to )",
+                                        kIters, R"() {
+    x = mpi_allreduce(x, sum);
+  }
+  mpi_finalize();
+})");
+  const char* divergent = R"(func main() {
+  mpi_init(single);
+  var x = rank() + 5;
+  if (rank() == 0) {
+    x = mpi_reduce(x, sum, 0);
+  } else {
+    x = mpi_bcast(x, 0);
+  }
+  mpi_finalize();
+})";
+  struct Counts {
+    size_t publish = 0, compare = 0, compare_agreed = 0, mismatch = 0;
+    std::vector<int64_t> agreed_slots; // world slots compared with payload 0
+  };
+  auto count = [](const Tracer& t) {
+    Counts n;
+    for (const TraceEvent& e : t.snapshot()) {
+      n.publish += e.kind == TraceEv::CcPublish;
+      n.mismatch += e.kind == TraceEv::CcMismatch;
+      if (e.kind != TraceEv::CcCompare) continue;
+      ++n.compare;
+      if (e.c != 0) continue;
+      ++n.compare_agreed;
+      if (e.b == 0) n.agreed_slots.push_back(e.a);
+    }
+    std::sort(n.agreed_slots.begin(), n.agreed_slots.end());
+    return n;
+  };
+  for (const auto engine : {interp::Engine::Ast, interp::Engine::Bytecode}) {
+    SCOPED_TRACE(to_string(engine));
+    {
+      Tracer tracer(Tracer::Options{true, /*ring_capacity=*/4096});
+      const auto result = run_traced("cc_agree", agreeing, tracer, nullptr,
+                                     2, 1, 5000, engine);
+      EXPECT_TRUE(result.clean) << result.mpi.abort_reason;
+      const Counts n = count(tracer);
+      std::vector<int64_t> loop_slots;
+      for (const int64_t slot : n.agreed_slots)
+        if (slot < kIters) loop_slots.push_back(slot);
+      std::vector<int64_t> expected(kIters);
+      for (int i = 0; i < kIters; ++i) expected[i] = i;
+      EXPECT_EQ(loop_slots, expected)
+          << "one payload-0 cc_compare per allreduce";
+      EXPECT_EQ(n.compare, n.compare_agreed) << "no compare may disagree";
+      EXPECT_EQ(n.compare, result.mpi.cc_piggybacked);
+      EXPECT_EQ(n.publish, 2 * n.compare) << "one cc_publish per rank";
+      EXPECT_EQ(n.mismatch, 0u);
+    }
+    {
+      Tracer tracer(Tracer::Options{true, /*ring_capacity=*/4096});
+      const auto result = run_traced("cc_diverge", divergent, tracer, nullptr,
+                                     2, 1, 5000, engine);
+      EXPECT_FALSE(result.mpi.deadlock) << result.mpi.deadlock_details;
+      ASSERT_EQ(result.rt_diags.size(), 1u);
+      const Counts n = count(tracer);
+      EXPECT_EQ(n.mismatch, 1u);
+      EXPECT_EQ(n.compare - n.compare_agreed, 1u);
+    }
   }
 }
 
