@@ -797,12 +797,15 @@ std::vector<BlockedInfo> Comm::blocked_snapshot() {
   return out;
 }
 
-bool Comm::any_blocked() {
+bool Comm::mark_parked(std::vector<uint8_t>& parked) {
+  bool any = false;
   std::scoped_lock lk(blocked_mu_);
-  for (const auto& active : blocked_) {
-    if (!active.empty()) return true;
+  for (size_t i = 0; i < blocked_.size(); ++i) {
+    if (blocked_[i].empty()) continue;
+    parked[static_cast<size_t>(world_rank_of(static_cast<int32_t>(i)))] = 1;
+    any = true;
   }
-  return false;
+  return any;
 }
 
 } // namespace parcoach::simmpi

@@ -91,13 +91,16 @@ enum class Errhandler : uint8_t { Abort, Return };
 /// anywhere in the world (per-slot condvars included).
 struct WorldState {
   std::mutex mu; // guards abort_reason / registries; flags are atomics
+  /// The watchdog's wake-up (World::run waits on it between polls): abort()
+  /// and the last finishing rank notify it; mark_failed's notify only makes
+  /// it re-check its predicate.
   std::condition_variable cv;
   std::atomic<bool> aborted{false};
   std::string abort_reason;
   std::atomic<uint64_t> progress{0}; // bumped on every slot completion
 
-  /// Sets the abort flag (first reason wins) and wakes all waiters of all
-  /// registered communicators.
+  /// Sets the abort flag (first reason wins) and wakes the watchdog and all
+  /// waiters of all registered communicators.
   void abort(const std::string& reason);
   [[nodiscard]] bool is_aborted() const noexcept {
     return aborted.load(std::memory_order_acquire);
@@ -250,8 +253,10 @@ public:
   /// Snapshot of who is blocked where (for the watchdog's report); the
   /// human-readable strings are built here, not on the blocking hot path.
   [[nodiscard]] std::vector<BlockedInfo> blocked_snapshot();
-  /// Cheap poll: is any rank currently blocked in this communicator?
-  [[nodiscard]] bool any_blocked();
+  /// Cheap poll for the watchdog: sets `parked[w]` for every world rank `w`
+  /// with a thread currently parked on this communicator (`parked` is
+  /// indexed by world rank) and returns whether any was.
+  bool mark_parked(std::vector<uint8_t>& parked);
 
   /// Number of completed slots (tests & stats).
   [[nodiscard]] uint64_t completed_slots() const noexcept {

@@ -18,12 +18,15 @@ public:
   CallGuard(Rank& r, const char* what) : r_(r) {
     const int32_t concurrent = r_.in_mpi_.fetch_add(1) + 1;
     if (concurrent > 1 && r_.provided_ != ir::ThreadLevel::Multiple) {
-      std::string v = str::cat("rank ", r_.rank_, ": ", concurrent,
-                               " threads concurrently inside MPI (", what,
-                               ") but provided level is MPI_THREAD_",
-                               ir::to_string(r_.provided_));
-      std::scoped_lock lk(r_.world_->violations_mu_);
-      r_.world_->violations_.push_back(std::move(v));
+      World& w = *r_.world_;
+      std::scoped_lock lk(w.violations_mu_);
+      // First race per (rank, call) only: a looping race would otherwise
+      // append one string per MPI entry.
+      if (!w.violations_seen_.emplace(r_.rank_, what).second) return;
+      w.violations_.push_back(str::cat(
+          "rank ", r_.rank_, ": ", concurrent,
+          " threads concurrently inside MPI (", what,
+          ") but provided level is MPI_THREAD_", ir::to_string(r_.provided_)));
     }
   }
   ~CallGuard() { r_.in_mpi_.fetch_sub(1); }
@@ -240,6 +243,7 @@ RequestEngine::Outcome Rank::test_outcome(int64_t request, bool& done) {
   if (finalized_)
     throw UsageError(str::cat("rank ", rank_, ": MPI call after mpi_finalize"));
   CallGuard guard(*this, "MPI_Test");
+  polls_.fetch_add(1, std::memory_order_relaxed);
   return world_->requests_->test(rank_, request, done);
 }
 
@@ -292,9 +296,11 @@ RunReport World::run(const std::function<void(Rank&)>& body) {
   RunReport report;
   report.rank_errors.assign(static_cast<size_t>(opts_.num_ranks), "");
 
+  const auto n = static_cast<size_t>(opts_.num_ranks);
   std::atomic<int32_t> finished{0};
+  std::vector<std::atomic<bool>> done(n);
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(opts_.num_ranks));
+  threads.reserve(n);
   for (int32_t r = 0; r < opts_.num_ranks; ++r) {
     threads.emplace_back([&, r] {
       Rank& rank = *ranks_[static_cast<size_t>(r)];
@@ -316,14 +322,23 @@ RunReport World::run(const std::function<void(Rank&)>& body) {
       } catch (const std::exception& e) {
         report.rank_errors[static_cast<size_t>(r)] = str::cat("error: ", e.what());
       }
-      finished.fetch_add(1);
+      done[static_cast<size_t>(r)].store(true, std::memory_order_release);
+      if (finished.fetch_add(1) + 1 == opts_.num_ranks) {
+        // The last rank out wakes the watchdog, so run() returns now rather
+        // than at its next poll. Passing through the lock orders the count
+        // before the watchdog's predicate check: the wake-up cannot be lost.
+        { std::scoped_lock lk(state_.mu); }
+        state_.cv.notify_all();
+      }
     });
   }
 
   // Watchdog: no progress for hang_timeout while not everyone finished and
-  // at least one rank is blocked in a collective => declare deadlock. The
-  // cheap poll reads the atomic heartbeat, POD blocked flags and the cached
-  // comm list only (refreshed — one registry lock — just when the atomic
+  // every unfinished rank is stuck in MPI => declare deadlock. It sleeps on
+  // WorldState::cv between polls, so the last finishing rank or an abort
+  // ends the loop at once. The cheap poll reads the atomic heartbeat, the
+  // per-rank MPI_Test counters, POD blocked flags and the cached comm list
+  // only (refreshed — one registry lock — just when the atomic
   // creation counter says a split/dup added a comm; comms are never
   // removed); the human-readable snapshot is materialized just for the
   // final report.
@@ -335,6 +350,14 @@ RunReport World::run(const std::function<void(Rank&)>& body) {
   const auto run_start = std::chrono::steady_clock::now();
   auto last_change = run_start;
   bool soft_fired = false;
+  // Per-poll census for stage 2, indexed by world rank: a thread parked on
+  // some communicator, or MPI_Test calls since the previous poll.
+  std::vector<uint8_t> parked(n);
+  std::vector<uint64_t> polls_seen(n);
+  std::vector<uint8_t> polled(n);
+  const auto woken = [&] {
+    return finished.load() == opts_.num_ranks || state_.is_aborted();
+  };
   // Shared by the soft (stall report) and hard (deadlock) ladder stages:
   // describes every blocked rank across all communicators. Sub-communicator
   // snapshots already carry world ranks, so a cross-communicator cycle reads
@@ -371,11 +394,18 @@ RunReport World::run(const std::function<void(Rank&)>& body) {
         blocked_ranks.end());
     return state_.tracer->flight_recorder(blocked_ranks);
   };
-  while (finished.load() < opts_.num_ranks) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  while (true) {
+    {
+      std::unique_lock lk(state_.mu);
+      if (state_.cv.wait_for(lk, std::chrono::milliseconds(2), woken)) break;
+    }
     if (watchdog_polls) watchdog_polls->fetch_add(1, std::memory_order_relaxed);
     if (state_.tracer) state_.tracer->emit(TraceEv::WatchdogTick, -1);
-    if (state_.is_aborted()) break;
+    for (size_t r = 0; r < n; ++r) {
+      const uint64_t p = ranks_[r]->polls_.load(std::memory_order_relaxed);
+      polled[r] = p != polls_seen[r];
+      polls_seen[r] = p;
+    }
     const uint64_t progress = state_.progress.load(std::memory_order_relaxed);
     const auto now = std::chrono::steady_clock::now();
     // Ladder stage 3 (hard backstop): bound the whole run's wall-clock even
@@ -398,8 +428,9 @@ RunReport World::run(const std::function<void(Rank&)>& body) {
       all_comms = comms_->all_comms();
       comms_version = v;
     }
+    std::fill(parked.begin(), parked.end(), uint8_t{0});
     bool blocked_somewhere = false;
-    for (Comm* c : all_comms) blocked_somewhere |= c->any_blocked();
+    for (Comm* c : all_comms) blocked_somewhere |= c->mark_parked(parked);
     if (!blocked_somewhere) {
       last_change = now; // ranks are computing, not stuck in MPI
       continue;
@@ -417,6 +448,13 @@ RunReport World::run(const std::function<void(Rank&)>& body) {
       report.stall_report = os.str() + recorder_appendix(std::move(blocked_ranks));
     }
     if (now - last_change < opts_.hang_timeout) continue;
+    // Stage 2 needs every unfinished rank stuck in MPI: parked, or polling
+    // MPI_Test (a livelock). A rank that is computing may still arrive.
+    bool all_stuck = true;
+    for (size_t r = 0; r < n; ++r)
+      all_stuck &= done[r].load(std::memory_order_acquire) || parked[r] != 0 ||
+                   polled[r] != 0;
+    if (!all_stuck) continue;
 
     // Ladder stage 2: declare deadlock — build the arrival map, then abort
     // so blocked ranks unwind.

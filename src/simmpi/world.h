@@ -1,5 +1,7 @@
 // The simulated MPI world: ranks as threads, a watchdog that converts
 // blocked-forever situations into deadlock reports, and per-rank MPI handles.
+// run() returns as soon as the last rank thread ends: that rank (or an
+// abort) wakes the watchdog instead of it waiting for its next poll tick.
 //
 // Usage:
 //   World::Options opts; opts.num_ranks = 4;
@@ -24,7 +26,9 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace parcoach::simmpi {
@@ -172,6 +176,9 @@ private:
   bool finalized_ = false;
   ir::ThreadLevel provided_ = ir::ThreadLevel::Single;
   std::atomic<int32_t> in_mpi_{0};
+  /// MPI_Test calls so far: the watchdog counts a rank that polled since its
+  /// previous check as stuck in MPI, so test-loop livelocks still report.
+  std::atomic<uint64_t> polls_{0};
 
   /// RAII guard counting concurrent MPI calls on this rank for thread-level
   /// monitoring.
@@ -238,8 +245,9 @@ class World {
 public:
   struct Options {
     int32_t num_ranks = 2;
-    /// Watchdog: declare deadlock after this long without progress while at
-    /// least one rank is blocked.
+    /// Watchdog: declare deadlock after this long without progress while
+    /// every unfinished rank is parked or polling in MPI (a rank that is
+    /// computing never counts as deadlocked).
     std::chrono::milliseconds hang_timeout{500};
     /// Report signature mismatches at match time instead of hanging.
     bool strict_matching = false;
@@ -297,6 +305,9 @@ private:
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::mutex violations_mu_;
   std::vector<std::string> violations_;
+  /// (rank, call) pairs already in violations_: one entry each, however
+  /// often the call races.
+  std::set<std::pair<int32_t, std::string>> violations_seen_;
 };
 
 } // namespace parcoach::simmpi

@@ -306,6 +306,45 @@ TEST(Interp, OutputIsDeterministicallySorted) {
               str::cat("rank ", i, ": ", i));
 }
 
+TEST(InterpWatchdog, ComputingRankIsNotAHangOnBothEngines) {
+  // Rank 0 computes far past the 20 ms hang timeout while rank 1 is parked
+  // in the allreduce. No collective progress, but rank 0 is not stuck in
+  // MPI, so the watchdog must wait for it on either engine.
+  driver::PipelineOptions popts;
+  popts.mode = driver::Mode::WarningsAndCodegen;
+  SourceManager sm;
+  DiagnosticEngine diags;
+  auto compiled = driver::compile(sm, "t", R"(func main() {
+    var s = 0;
+    if (rank() == 0) {
+      for (i = 0 to 3000000) {
+        s = s + i;
+      }
+    }
+    var t = mpi_allreduce(s, sum);
+    print(t);
+  })",
+                                  diags, popts);
+  ASSERT_TRUE(compiled.ok) << diags.to_text(sm);
+  for (const Engine engine : {Engine::Ast, Engine::Bytecode}) {
+    Executor exec(compiled.program, sm, &compiled.plan);
+    ExecOptions eopts;
+    eopts.engine = engine;
+    eopts.num_ranks = 2;
+    eopts.num_threads = 1;
+    eopts.mpi.hang_timeout = std::chrono::milliseconds(20);
+    const auto result = exec.run(eopts);
+    EXPECT_FALSE(result.mpi.deadlock)
+        << to_string(engine) << ": " << result.mpi.deadlock_details;
+    EXPECT_TRUE(result.clean) << to_string(engine) << ": "
+                              << result.mpi.abort_reason;
+    EXPECT_EQ(result.output,
+              (std::vector<std::string>{"rank 0: 4499998500000",
+                                        "rank 1: 4499998500000"}))
+        << to_string(engine);
+  }
+}
+
 } // namespace
 } // namespace parcoach::interp
 

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
 #include <numeric>
+#include <set>
+#include <thread>
 
 namespace parcoach::simmpi {
 namespace {
@@ -253,6 +256,29 @@ TEST(SimMpi, ConcurrentCallsAtLowLevelAreRecorded) {
       << "concurrent MPI calls under SERIALIZED must be recorded";
 }
 
+TEST(SimMpi, RacingCallsRecordedOncePerRankAndCall) {
+  World w(fast_world(2));
+  const auto rep = w.run([](Rank& mpi) {
+    mpi.init(ir::ThreadLevel::Serialized);
+    std::thread t([&] {
+      for (int i = 0; i < 3000; ++i) mpi.allreduce(1, ReduceOp::Sum);
+    });
+    for (int i = 0; i < 3000; ++i) mpi.allreduce(1, ReduceOp::Sum);
+    t.join();
+  });
+  EXPECT_FALSE(rep.deadlock) << rep.deadlock_details;
+  EXPECT_FALSE(rep.thread_level_violations.empty());
+  // Only MPI_Allreduce races here, so at most one entry per rank.
+  EXPECT_LE(rep.thread_level_violations.size(), 2u);
+  std::set<std::string> ranks;
+  for (const auto& v : rep.thread_level_violations) {
+    ASSERT_NE(v.find("(MPI_Allreduce)"), std::string::npos) << v;
+    ranks.insert(v.substr(0, v.find(':')));
+  }
+  EXPECT_EQ(ranks.size(), rep.thread_level_violations.size())
+      << "one entry per (rank, call)";
+}
+
 TEST(SimMpi, ManySlotsMemoryBounded) {
   World w(fast_world(2));
   const auto rep = w.run([](Rank& mpi) {
@@ -260,6 +286,80 @@ TEST(SimMpi, ManySlotsMemoryBounded) {
   });
   EXPECT_TRUE(rep.ok);
   EXPECT_EQ(rep.app_slots_completed, 5000u);
+}
+
+// ---- Watchdog wake-ups and the stage-2 census ---------------------------------
+
+TEST(SimMpiWatchdog, EmptyRunsReturnWhenTheLastRankEnds) {
+  // The last finishing rank wakes the watchdog: no run waits out a poll
+  // tick. 200 runs of a 2 ms tick alone would take 400 ms.
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 200; ++i) {
+    World w(fast_world(2));
+    const auto rep = w.run([](Rank&) {});
+    ASSERT_TRUE(rep.ok);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(300))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms for 200 empty runs";
+}
+
+TEST(SimMpiWatchdog, AbortWakesTheWatchdogWithoutADeadlockVerdict) {
+  auto opts = fast_world(2);
+  opts.hang_timeout = std::chrono::milliseconds(60'000);
+  World w(opts);
+  const auto start = std::chrono::steady_clock::now();
+  const auto rep = w.run([](Rank& mpi) {
+    if (mpi.rank() == 0) {
+      mpi.abort("stop now");
+      return;
+    }
+    mpi.barrier();
+  });
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(10));
+  EXPECT_TRUE(rep.aborted);
+  EXPECT_FALSE(rep.deadlock);
+  EXPECT_EQ(rep.abort_reason, "stop now");
+  EXPECT_NE(rep.rank_errors[1].find("stop now"), std::string::npos)
+      << rep.rank_errors[1];
+}
+
+TEST(SimMpiWatchdog, ComputingRankIsNotDeadlocked) {
+  // Rank 1 parks in the allreduce for several hang timeouts while rank 0
+  // computes: no progress, but rank 0 may still arrive.
+  auto opts = fast_world(2);
+  opts.hang_timeout = std::chrono::milliseconds(20);
+  World w(opts);
+  const auto rep = w.run([](Rank& mpi) {
+    if (mpi.rank() == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(120));
+    mpi.allreduce(1, ReduceOp::Sum);
+  });
+  EXPECT_TRUE(rep.ok) << rep.deadlock_details;
+  EXPECT_FALSE(rep.deadlock);
+}
+
+TEST(SimMpiWatchdog, TestLoopLivelockIsStillAHang) {
+  // Rank 0 polls an ibarrier that can never match rank 1's allreduce: it
+  // never parks, but polling MPI_Test counts as stuck in MPI.
+  auto opts = fast_world(2);
+  opts.hang_timeout = std::chrono::milliseconds(50);
+  World w(opts);
+  const auto rep = w.run([](Rank& mpi) {
+    if (mpi.rank() == 0) {
+      const int64_t req = mpi.ibarrier();
+      while (!mpi.test(req)) {
+      }
+    } else {
+      mpi.allreduce(1, ReduceOp::Sum);
+    }
+  });
+  EXPECT_TRUE(rep.deadlock);
+  EXPECT_NE(rep.deadlock_details.find("hang detected"), std::string::npos);
+  EXPECT_NE(rep.deadlock_details.find("rank 1 blocked"), std::string::npos)
+      << rep.deadlock_details;
 }
 
 } // namespace
