@@ -74,13 +74,13 @@ make_plan(const ir::Module& m, const PhaseResult& phases,
 
 /// Program-wide arming: like make_plan but, when anything diverges, arms
 /// every class (the pre-matrix behaviour; kept as the parity baseline for
-/// tests and bench_selective_instrumentation).
+/// tests and the `selective` bench family).
 [[nodiscard]] InstrumentationPlan
 make_programwide_plan(const ir::Module& m, const PhaseResult& phases,
                       const Algorithm1Result& alg1);
 
 /// Blanket plan: checks at every collective site regardless of analysis
-/// results (the ablation baseline for bench_selective_instrumentation).
+/// results (the ablation baseline for the `selective` bench family).
 [[nodiscard]] InstrumentationPlan make_blanket_plan(const ir::Module& m);
 
 /// Materializes the plan into the IR (inserts Check*/Region* instructions).

@@ -85,13 +85,11 @@ PhaseResult run_phases(const ir::Module& m, const Summaries& sums,
     if (mono && !e.ambiguous) continue;
     if (!mono_reported.emplace(e.stmt_id, e.word.str()).second) continue;
     if (mono && e.ambiguous) {
-      if (opts.warn_ambiguous) {
-        diags.report(Severity::Warning, DiagKind::WordAmbiguity, e.loc,
-                     str::cat(site_name(e),
-                              " has ambiguous parallelism word [", e.word.str(),
-                              "] (disagreeing control-flow paths); treating as "
-                              "potentially multithreaded"));
-      }
+      diags.report(Severity::Warning, DiagKind::WordAmbiguity, e.loc,
+                   str::cat(site_name(e),
+                            " has ambiguous parallelism word [", e.word.str(),
+                            "] (disagreeing control-flow paths); treating as "
+                            "potentially multithreaded"));
     }
     if (!mono || e.ambiguous) {
       MonoViolation v;

@@ -28,8 +28,6 @@ struct AnalysisOptions {
   InitialContext initial_context = InitialContext::Serial;
   /// Analyze functions unreachable from main as standalone roots.
   bool analyze_unreachable_roots = true;
-  /// Emit WordAmbiguity warnings for collectives at ambiguous nodes.
-  bool warn_ambiguous = true;
 };
 
 /// A phase-1 violation: a collective whose context is not monothreaded.

@@ -1,5 +1,5 @@
 // Warning-census and pipeline reports (the textual outputs of the tool, and
-// the rows regenerated by bench_warning_census).
+// the rows printed by examples/suite_audit).
 #pragma once
 
 #include "driver/pipeline.h"

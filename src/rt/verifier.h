@@ -13,7 +13,7 @@
 // (check_cc_final_piggybacked / _on) is deposited before a process leaves
 // main, catching "rank 0 returned while rank 1 still waits in MPI_Allreduce"
 // situations. The paper's dedicated round survives only as the baseline of
-// bench/bench_cc_protocol.cpp.
+// the `simmpi` family of parcoach_bench (bench/simmpi.cpp).
 //
 // Occupancy checks guard collectives that the static phase could not prove
 // monothreaded: a per-site counter detects two threads inside the same
